@@ -31,7 +31,6 @@ from .meta import (
 )
 from .order_stats import (
     AsymptoticQuantileCov,
-    NormalParams,
     OrderIndexSet,
     OrderStatMoments,
     asymptotic_cov,
@@ -72,7 +71,6 @@ __all__ = [
     "FitConvergenceError",
     "FiveNumberSummary",
     "MetaResult",
-    "NormalParams",
     "NumericalError",
     "OrderIndexSet",
     "OrderStatMoments",

@@ -57,10 +57,20 @@ def replicate_uniforms(key: tuple[int, int], first: int, count: int,
     start = first * counters_per_rep
     bg = Philox(counter=[start, 0, 0, 0], key=list(key))
     raw = bg.random_raw(count * words_per_rep).reshape(count, words_per_rep)
-    # 53-bit mantissa plus a half-ulp offset keeps u strictly inside (0, 1)
-    u = (raw[:, :draws] >> _U64(11)).astype(np.float64)
+    return _words_to_uniforms(raw[:, :draws])
+
+
+def _words_to_uniforms(raw: np.ndarray) -> np.ndarray:
+    """Map 64-bit words into the open interval (0, 1).
+
+    The top 53 bits plus a half-ulp offset give (k + 1/2) 2^-53; for the
+    largest k that sum, 1 - 2^-54, rounds to 1.0, so it is clamped to the
+    largest double below 1. No other word changes.
+    """
+    u = (raw >> _U64(11)).astype(np.float64)
     u *= 2.0 ** -53
     u += 2.0 ** -54
+    np.minimum(u, 1.0 - 2.0 ** -53, out=u)
     return u
 
 

@@ -19,16 +19,17 @@ import json
 import os
 import sys
 
-from .errors import FitConvergenceError, NumericalError, ScenarioError
-from .estimators import Estimate, FiveNumberSummary, mean_bland, mean_hozo, \
-    mean_optimal, mean_wan_s2, mean_weighted, sd_estimate
+from .errors import NumericalError, ScenarioError
+from .estimators import METHODS, SUMMARY_METHODS, Estimate, FiveNumberSummary, \
+    estimate_mean, mean_weighted, sd_estimate
 from .meta import PROFILES, StudyConversionError, load_bundled_studies, \
     read_study_csv, run_case_study
-from .order_stats import moments_mc, moments_quadrature
-from .simulation import SimulationConfig, DISTRIBUTION_KINDS, \
-    default_methods, distribution, run_rmse
+from .order_stats import MAX_QUADRATURE_SIZE, MIN_MC_REPLICATES, moments_mc, \
+    moments_quadrature
+from .simulation import SimulationConfig, DISTRIBUTION_KINDS, distribution, \
+    run_rmse
 from .weights import Scenario, WeightSet, approx_weight, fit_power_law, \
-    optimal_weight_s1, optimal_weight_s2, optimal_weights_s3
+    optimal_weights
 
 DEFAULT_SEED = 7081
 SEED_ENV_VAR = "OPTMEAN_SEED"
@@ -49,11 +50,15 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _default_seed() -> int:
-    raw = os.environ.get(SEED_ENV_VAR)
-    if raw is None or raw.strip() == "":
-        return DEFAULT_SEED
-    return int(raw)
+def _default_seed():
+    # a string default goes through --seed's type like a typed value, so a
+    # malformed environment seed is refused as a usage error
+    return os.environ.get(SEED_ENV_VAR, "").strip() or DEFAULT_SEED
+
+
+def _method_name(text: str) -> str:
+    """Canonical `METHODS` spelling of a method name; hyphens are accepted."""
+    return text.strip().replace("-", "_")
 
 
 def _parse_grid(text: str) -> tuple[int, ...]:
@@ -102,11 +107,33 @@ def _emit_json(path, command, settings, payload):
     _write_output(path, json.dumps(document, indent=2, sort_keys=True) + "\n")
 
 
+def _emit_rows(args, command, settings, fieldnames, rows):
+    """A table as CSV, or as JSON ``{"rows": [...]}`` under ``--format json``."""
+    if args.format == "json":
+        _emit_json(args.output, command, settings,
+                   {"rows": [dict(zip(fieldnames, row)) for row in rows]})
+    else:
+        _emit_csv(args.output, command, settings, fieldnames, rows)
+
+
+def _check_backend(args, sizes=()):
+    """Refuse sizes and replicate counts the moment backend cannot serve."""
+    if args.backend == "mc" and args.reps < MIN_MC_REPLICATES:
+        args.parser.error(
+            f"--backend mc needs --reps >= {MIN_MC_REPLICATES}, got {args.reps}")
+    for n in sizes:
+        if n < 5 or n % 4 != 1:
+            args.parser.error(
+                f"exact weights need sample sizes of the form 4Q+1, got {n}")
+        if args.backend == "quad" and n > MAX_QUADRATURE_SIZE:
+            args.parser.error(
+                f"--backend quad supports n <= {MAX_QUADRATURE_SIZE}, got {n}")
+
+
 # ---------------------------------------------------------------------------
 # estimate
 
-_MEAN_METHODS = ("hozo", "hozo-as-applied", "wan", "bland", "optimal-approx",
-                 "optimal-exact", "weighted")
+_MEAN_METHODS = tuple(m.replace("_", "-") for m in SUMMARY_METHODS) + ("weighted",)
 _SD_METHODS = ("wan-sd", "hozo-sd")
 
 _SUMMARY_COLUMNS = ("scenario", "n", "min", "q1", "median", "q3", "max")
@@ -121,34 +148,16 @@ def _summary_from_values(scenario, n, values: dict) -> FiveNumberSummary:
 
 def _run_estimate_method(args, summary: FiveNumberSummary) -> Estimate:
     method = args.method
-    if method == "hozo":
-        return mean_hozo(summary, "thresholded")
-    if method == "hozo-as-applied":
-        return mean_hozo(summary, "unconditional")
-    if method == "wan":
-        return mean_wan_s2(summary)
-    if method == "bland":
-        return mean_bland(summary)
-    if method == "optimal-approx":
-        return mean_optimal(summary, "approx")
-    if method == "optimal-exact":
-        if args.backend == "mc":
-            moments = moments_mc(summary.n, args.reps, args.seed)
-        else:
-            moments = moments_quadrature(summary.n)
-        return mean_optimal(summary, "exact", moments=moments)
+    if method in _SD_METHODS:
+        return sd_estimate(summary, method.removesuffix("-sd"))
     if method == "weighted":
         if args.weight is None:
             raise ValueError("--method weighted requires --weight")
-        w2 = args.w2
-        weights = WeightSet(summary.scenario, summary.n, args.weight, w2,
+        weights = WeightSet(summary.scenario, summary.n, args.weight, args.w2,
                             source="custom")
         return mean_weighted(summary, weights)
-    if method == "wan-sd":
-        return sd_estimate(summary, "wan")
-    if method == "hozo-sd":
-        return sd_estimate(summary, "hozo")
-    raise ValueError(f"unknown method {method!r}")
+    moments = _moments(args, summary.n) if method == "optimal-exact" else None
+    return estimate_mean(summary, _method_name(method), moments)
 
 
 def _estimate_row(summary: FiveNumberSummary, estimate: Estimate) -> list:
@@ -169,6 +178,8 @@ def _cmd_estimate(args) -> int:
                 "backend": args.backend, "reps": args.reps}
     out_fields = list(_SUMMARY_COLUMNS) + [
         "method", "value", "w1", "w2", "median_weight", "weight_source"]
+    if args.method == "optimal-exact":
+        _check_backend(args)
     if args.input is not None:
         try:
             rows = []
@@ -194,11 +205,8 @@ def _cmd_estimate(args) -> int:
         except (OSError, ValueError, ScenarioError) as exc:
             print(f"optmean estimate: input error: {exc}", file=sys.stderr)
             return EXIT_DATA
-        except NumericalError as exc:
-            print(f"optmean estimate: numerical failure: {exc}", file=sys.stderr)
-            return EXIT_NUMERICAL
         settings["input"] = args.input
-        _emit_csv(args.output, "estimate", settings, out_fields, rows)
+        _emit_rows(args, "estimate", settings, out_fields, rows)
         return EXIT_OK
 
     if args.scenario is None or args.n is None:
@@ -210,9 +218,6 @@ def _cmd_estimate(args) -> int:
         estimate = _run_estimate_method(args, summary)
     except (ValueError, ScenarioError) as exc:
         args.parser.error(str(exc))
-    except NumericalError as exc:
-        print(f"optmean estimate: numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
     row = _estimate_row(summary, estimate)
     if args.format == "json":
         _emit_json(args.output, "estimate", settings,
@@ -225,25 +230,20 @@ def _cmd_estimate(args) -> int:
 # ---------------------------------------------------------------------------
 # weights
 
-def _exact_weights(scenario: Scenario, n: int, backend: str, reps: int, seed: int):
-    if backend == "mc":
-        moments = moments_mc(n, reps, seed)
-    else:
-        moments = moments_quadrature(n)
-    if scenario is Scenario.S1:
-        return optimal_weight_s1(moments), moments.std_error
-    if scenario is Scenario.S2:
-        return optimal_weight_s2(moments), moments.std_error
-    return optimal_weights_s3(moments), moments.std_error
+def _moments(args, n: int):
+    if args.backend == "mc":
+        return moments_mc(n, args.reps, args.seed)
+    return moments_quadrature(n)
 
 
-def _weight_table_rows(scenario, grid, backend, reps, seed):
+def _weight_table_rows(args, scenario, grid):
     rows = []
     for n in grid:
-        exact, std_error = _exact_weights(scenario, n, backend, reps, seed)
+        moments = _moments(args, n)
+        exact = optimal_weights(moments, scenario)
         approx = approx_weight(scenario, n)
         rows.append([n, scenario.value, exact.w1, exact.w2,
-                     approx.w1, approx.w2, backend, std_error])
+                     approx.w1, approx.w2, args.backend, moments.std_error])
     return rows
 
 
@@ -257,24 +257,13 @@ def _cmd_weights(args) -> int:
         args.parser.error("give exactly one of --n or --grid")
     try:
         grid = (args.n,) if args.n is not None else _parse_grid(args.grid)
-        for n in grid:
-            if n < 5 or n % 4 != 1:
-                raise ValueError(
-                    f"exact weights need sample sizes of the form 4Q+1, got {n}")
     except ValueError as exc:
         args.parser.error(str(exc))
+    _check_backend(args, grid)
     settings = {"scenario": scenario.value, "backend": args.backend,
                 "seed": args.seed, "reps": args.reps if args.backend == "mc" else None}
-    try:
-        rows = _weight_table_rows(scenario, grid, args.backend, args.reps, args.seed)
-    except NumericalError as exc:
-        print(f"optmean weights: numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    if args.format == "json":
-        payload = {"rows": [dict(zip(_WEIGHT_FIELDS, row)) for row in rows]}
-        _emit_json(args.output, "weights", settings, payload)
-    else:
-        _emit_csv(args.output, "weights", settings, _WEIGHT_FIELDS, rows)
+    rows = _weight_table_rows(args, scenario, grid)
+    _emit_rows(args, "weights", settings, _WEIGHT_FIELDS, rows)
     return EXIT_OK
 
 
@@ -302,31 +291,26 @@ def _read_weight_table(path, scenario: Scenario):
 def _cmd_fit(args) -> int:
     scenario = Scenario.parse(args.scenario)
     settings = {"scenario": scenario.value, "seed": args.seed}
+    if args.input is None:
+        try:
+            grid_ns = _parse_grid(args.grid)
+        except ValueError as exc:
+            args.parser.error(str(exc))
+        _check_backend(args, grid_ns)
     try:
         if args.input is not None:
             settings["input"] = args.input
             grid = _read_weight_table(args.input, scenario)
         else:
-            grid_ns = _parse_grid(args.grid)
             settings.update({"backend": args.backend, "grid": args.grid,
                              "reps": args.reps if args.backend == "mc" else None})
-            rows = _weight_table_rows(scenario, grid_ns, args.backend,
-                                      args.reps, args.seed)
-            if scenario is Scenario.S3:
-                grid = [(r[0], r[2], r[3]) for r in rows]
-            else:
-                grid = [(r[0], r[2]) for r in rows]
+            rows = _weight_table_rows(args, scenario, grid_ns)
+            grid = [(r[0], *(w for w in r[2:4] if w is not None)) for r in rows]
     except (OSError, ValueError) as exc:
         print(f"optmean fit: input error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except NumericalError as exc:
-        print(f"optmean fit: numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
     try:
         coeff = fit_power_law(grid, scenario)
-    except FitConvergenceError as exc:
-        print(f"optmean fit: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
     except ValueError as exc:
         print(f"optmean fit: input error: {exc}", file=sys.stderr)
         return EXIT_DATA
@@ -349,33 +333,22 @@ def _cmd_simulate(args) -> int:
     try:
         spec = distribution(args.distribution)
         scenario = Scenario.parse(args.scenario)
-        if args.methods:
-            methods = tuple(m.strip().replace("-", "_")
-                            for m in args.methods.split(",") if m.strip())
-        else:
-            methods = default_methods(scenario)
+        methods = tuple(_method_name(m) for m in (args.methods or "").split(",")
+                        if m.strip())
         config = SimulationConfig(
             distribution=spec, scenario=scenario, methods=methods,
             n_grid=_parse_grid(args.grid), replicates=args.reps, seed=args.seed)
     except (ValueError, ScenarioError) as exc:
         args.parser.error(str(exc))
     settings = {"distribution": args.distribution, "scenario": scenario.value,
-                "methods": ",".join(methods), "grid": args.grid,
+                "methods": ",".join(config.methods), "grid": args.grid,
                 "reps": args.reps, "seed": args.seed}
-    try:
-        report = run_rmse(config)
-    except (NumericalError, ArithmeticError) as exc:
-        print(f"optmean simulate: numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    report = run_rmse(config)
     fields = ("distribution", "scenario", "n", "method", "rmse",
               "mc_std_error", "replicates")
     rows = [[r.distribution, r.scenario, r.n, r.method, r.rmse,
              r.mc_std_error, r.replicates] for r in report.rows]
-    if args.format == "json":
-        _emit_json(args.output, "simulate", settings,
-                   {"rows": [dict(zip(fields, row)) for row in rows]})
-    else:
-        _emit_csv(args.output, "simulate", settings, fields, rows)
+    _emit_rows(args, "simulate", settings, fields, rows)
     return EXIT_OK
 
 
@@ -385,7 +358,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_meta(args) -> int:
     mean_method, sd_method = PROFILES[args.profile]
     if args.mean_method:
-        mean_method = args.mean_method.replace("-", "_")
+        mean_method = args.mean_method
     if args.sd_method:
         sd_method = args.sd_method
     settings = {"input": args.input or "<bundled table1.csv>",
@@ -403,9 +376,6 @@ def _cmd_meta(args) -> int:
     except (OSError, ValueError, ScenarioError) as exc:
         print(f"optmean meta: input error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except NumericalError as exc:
-        print(f"optmean meta: numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
     if args.format == "json":
         payload = result.to_dict()
         for record, effect in zip(records, payload["effects"]):
@@ -500,7 +470,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--distribution", required=True, choices=DISTRIBUTION_KINDS)
     p.add_argument("--scenario", required=True, choices=("s1", "s2", "s3"))
     p.add_argument("--methods", default=None,
-                   help="comma list; default: control, legacy, optimal-approx")
+                   help=f"comma list of {', '.join(METHODS)}; "
+                        "default: control, legacy, optimal-approx")
     p.add_argument("--grid", default="5:101:4")
     p.add_argument("--reps", type=int, default=DEFAULT_SIM_REPS)
     common(p)
@@ -510,8 +481,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", default=None,
                    help="study CSV (default: the bundled seven-study table)")
     p.add_argument("--profile", choices=tuple(PROFILES), default="table3")
-    p.add_argument("--mean-method", default=None,
-                   help="override the profile's mean estimator")
+    p.add_argument("--mean-method", type=_method_name, choices=SUMMARY_METHODS,
+                   default=None, help="override the profile's mean estimator")
     p.add_argument("--sd-method", choices=("wan", "hozo"), default=None)
     common(p)
     p.set_defaults(func=_cmd_meta)
@@ -522,7 +493,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OSError as exc:
+        # every command reports its own input errors, so this is the output
+        print(f"optmean {args.command}: output error: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    except (NumericalError, ArithmeticError) as exc:
+        print(f"optmean {args.command}: numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

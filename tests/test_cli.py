@@ -7,6 +7,8 @@ import json
 import pytest
 
 from optmean.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, build_parser, main
+from optmean.estimators import METHODS, SUMMARY_METHODS
+from optmean.weights import Scenario
 
 
 def run_cli(args, capsys):
@@ -106,6 +108,53 @@ class TestEstimate:
         code, _, err = run_cli(["estimate", "--input", "no-such-file.csv"], capsys)
         assert code == EXIT_DATA
 
+    @pytest.mark.parametrize("flag,value", [("--median", "nan"), ("--max", "inf"),
+                                            ("--min", "-inf")])
+    def test_non_finite_value_is_usage_error(self, flag, value, capsys):
+        values = {"--min": "1", "--median": "2", "--max": "3", flag: value}
+        argv = ["estimate", "--scenario", "s1", "--n", "25"]
+        for key, text in values.items():
+            argv += [key, text]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == EXIT_USAGE
+
+    def test_batch_non_finite_value_is_data_error(self, tmp_path, capsys):
+        src = tmp_path / "summaries.csv"
+        src.write_text("scenario,n,min,q1,median,q3,max\ns1,25,1,,nan,,3\n")
+        code, _, err = run_cli(["estimate", "--input", str(src)], capsys)
+        assert code == EXIT_DATA
+        assert "finite" in err
+
+    def test_batch_json_format(self, tmp_path, capsys):
+        src = tmp_path / "summaries.csv"
+        src.write_text(
+            "scenario,n,min,q1,median,q3,max\n"
+            "s1,40,2.25,,16,,74.25\n"
+            "s2,40,,1,2,3,\n")
+        code, out, _ = run_cli([
+            "estimate", "--input", str(src), "--format", "json"], capsys)
+        assert code == EXIT_OK
+        doc = json.loads(out)
+        assert doc["config"]["input"] == str(src)
+        assert [r["scenario"] for r in doc["rows"]] == ["s1", "s2"]
+        assert doc["rows"][0]["value"] == pytest.approx(20.471, abs=1e-3)
+
+    def test_mc_reps_below_floor_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["estimate", "--scenario", "s1", "--n", "25", "--min", "1",
+                  "--median", "2", "--max", "3", "--method", "optimal-exact",
+                  "--backend", "mc", "--reps", "100"])
+        assert excinfo.value.code == EXIT_USAGE
+
+    def test_output_into_missing_directory_is_data_error(self, tmp_path, capsys):
+        code, _, err = run_cli([
+            "estimate", "--scenario", "s1", "--n", "25", "--min", "1",
+            "--median", "2", "--max", "3",
+            "--output", str(tmp_path / "no-such-dir" / "out.csv")], capsys)
+        assert code == EXIT_DATA
+        assert "output error" in err
+
 
 class TestWeights:
     def test_s3_exact_pair_at_n5(self, capsys):
@@ -137,6 +186,16 @@ class TestWeights:
     def test_n_and_grid_together_rejected(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["weights", "--scenario", "s1", "--n", "5", "--grid", "5:9:4"])
+        assert excinfo.value.code == EXIT_USAGE
+
+    @pytest.mark.parametrize("argv", [
+        ["--n", "505"],
+        ["--grid", "497:505:4"],
+        ["--n", "5", "--backend", "mc", "--reps", "100"],
+    ])
+    def test_backend_limits_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["weights", "--scenario", "s1"] + argv)
         assert excinfo.value.code == EXIT_USAGE
 
     def test_mc_backend_small(self, capsys):
@@ -174,6 +233,15 @@ class TestFit:
         fit = json.loads(out)["fit"]
         assert fit["c1"] == pytest.approx(4.0, abs=1.0)
         assert fit["c2"] == pytest.approx(-0.75, abs=0.1)
+
+    @pytest.mark.parametrize("argv", [
+        ["--grid", "5:505:100"],
+        ["--grid", "5:17:4", "--backend", "mc", "--reps", "100"],
+    ])
+    def test_backend_limits_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["fit", "--scenario", "s1"] + argv)
+        assert excinfo.value.code == EXIT_USAGE
 
     def test_underdetermined_input_is_data_error(self, tmp_path, capsys):
         table = tmp_path / "weights.csv"
@@ -273,9 +341,99 @@ class TestReproducibility:
                                   "--scenario", "s1"])
         assert args.seed == 31415
 
+    def test_malformed_env_var_seed_is_usage_error(self, monkeypatch, capsys):
+        monkeypatch.setenv("OPTMEAN_SEED", "seven")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["weights", "--scenario", "s1", "--n", "5"])
+        assert excinfo.value.code == EXIT_USAGE
+
     def test_explicit_seed_beats_env_var(self, monkeypatch):
         monkeypatch.setenv("OPTMEAN_SEED", "31415")
         parser = build_parser()
         args = parser.parse_args(["simulate", "--distribution", "normal",
                                   "--scenario", "s1", "--seed", "9"])
         assert args.seed == 9
+
+
+SCENARIO_VALUES = {
+    "s1": ["--min", "1", "--median", "4", "--max", "12"],
+    "s2": ["--q1", "3", "--median", "4", "--q3", "6.5"],
+    "s3": ["--min", "1", "--q1", "3", "--median", "4", "--q3", "6.5", "--max", "12"],
+}
+
+STUDY_FIELDS = {
+    "s1": "{s},2.25,,16.0,,74.25,9.0,,27.25,,132.5",
+    "s2": "{s},,8.0,16.0,30.5,,,17.0,27.25,61.0,",
+    "s3": "{s},2.25,8.0,16.0,30.5,74.25,9.0,17.0,27.25,61.0,132.5",
+}
+
+
+def _study_csv(path, scenario):
+    fields = STUDY_FIELDS[scenario].format(s=scenario)
+    path.write_text(
+        "index,label,n_cases,n_controls,payload_type,"
+        "f01,f02,f03,f04,f05,f06,f07,f08,f09,f10,f11,note\n"
+        f"1,a,9,13,fivenum,{fields},\n"
+        f"2,b,13,9,fivenum,{fields},\n"
+        "3,c,51,51,meansd,69.5,24.5,95.5,29.25,,,,,,,,\n")
+    return str(path)
+
+
+class TestMethodTable:
+    """Every method of the table through every CLI surface that takes one."""
+
+    @pytest.mark.parametrize("name", SUMMARY_METHODS)
+    @pytest.mark.parametrize("scenario", ["s1", "s2", "s3"])
+    def test_estimate(self, name, scenario, capsys):
+        argv = ["estimate", "--scenario", scenario, "--n", "9",
+                "--method", name.replace("_", "-")] + SCENARIO_VALUES[scenario]
+        if Scenario(scenario) in METHODS[name].scenarios:
+            code, out, _ = run_cli(argv, capsys)
+            assert code == EXIT_OK
+            assert parse_csv(out)[0]["method"] == METHODS[name].label
+        else:
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv)
+            assert excinfo.value.code == EXIT_USAGE
+
+    @pytest.mark.parametrize("name", tuple(METHODS))
+    @pytest.mark.parametrize("scenario", ["s1", "s2", "s3"])
+    def test_simulate(self, name, scenario, capsys):
+        argv = ["simulate", "--distribution", "normal", "--scenario", scenario,
+                "--methods", name.replace("_", "-"), "--grid", "5:5:4",
+                "--reps", "1000"]
+        if Scenario(scenario) in METHODS[name].scenarios:
+            code, out, _ = run_cli(argv, capsys)
+            assert code == EXIT_OK
+            assert [r["method"] for r in parse_csv(out)] == [name]
+        else:
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv)
+            assert excinfo.value.code == EXIT_USAGE
+
+    @pytest.mark.parametrize("name", SUMMARY_METHODS)
+    @pytest.mark.parametrize("scenario", ["s1", "s2", "s3"])
+    def test_meta(self, name, scenario, tmp_path, capsys):
+        # the scenario comes from the study file, so a mismatch is a data error
+        src = _study_csv(tmp_path / "studies.csv", scenario)
+        code, out, err = run_cli(["meta", "--input", src, "--mean-method",
+                                  name.replace("_", "-")], capsys)
+        if Scenario(scenario) in METHODS[name].scenarios:
+            assert code == EXIT_OK
+            assert f"# mean_method={name}" in out
+        else:
+            assert code == EXIT_DATA
+            assert "does not apply" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["estimate", "--scenario", "s1", "--n", "9", "--method", "sample-mean"]
+        + SCENARIO_VALUES["s1"],
+        ["meta", "--mean-method", "sample_mean"],
+        ["meta", "--mean-method", "midmean"],
+        ["simulate", "--distribution", "normal", "--scenario", "s1",
+         "--methods", "midmean", "--grid", "5:5:4", "--reps", "1000"],
+    ])
+    def test_refused_names(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == EXIT_USAGE

@@ -62,6 +62,12 @@ class TestFiveNumberSummary:
         with pytest.raises(ValueError):
             s1(4, 1.0, 2.0, 3.0)
 
+    @pytest.mark.parametrize("a,m,b", [(1.0, math.nan, 3.0), (1.0, 2.0, math.inf),
+                                       (-math.inf, 2.0, 3.0), (math.nan, 2.0, 3.0)])
+    def test_non_finite_values_rejected(self, a, m, b):
+        with pytest.raises(ValueError, match="finite"):
+            s1(9, a, m, b)
+
     def test_present_values(self):
         assert s3(9, 0.0, 1.0, 2.0, 3.0, 4.0).present_values() == (0, 1, 2, 3, 4)
         assert s1(9, 0.0, 2.0, 4.0).present_values() == (0, 2, 4)

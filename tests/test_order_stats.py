@@ -7,11 +7,10 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy import integrate, stats
 
-from optmean._rng import replicate_uniforms, stream_key
+from optmean._rng import _words_to_uniforms, replicate_uniforms, stream_key
 from optmean.errors import ScenarioError
 from optmean.order_stats import (
     AsymptoticQuantileCov,
-    NormalParams,
     OrderIndexSet,
     asymptotic_cov,
     moments_mc,
@@ -107,11 +106,6 @@ class TestNormalCdfPdf:
 
 
 class TestDomainTypes:
-    def test_normal_params_rejects_bad_sigma(self):
-        NormalParams(mu=3.0, sigma=0.5)
-        with pytest.raises(ValueError):
-            NormalParams(mu=0.0, sigma=0.0)
-
     def test_index_set_ranks(self):
         idx = OrderIndexSet.from_size(9)
         assert idx.indices == (1, 3, 5, 7, 9)
@@ -277,6 +271,15 @@ class TestUniformStreams:
         u = replicate_uniforms(stream_key("unit", 0), 0, 100, 64)
         assert u.min() > 0.0
         assert u.max() < 1.0
+
+    def test_extreme_words_map_inside_unit_interval(self):
+        u = _words_to_uniforms(np.array([0, 2**64 - 1, 2**64 - 2**11 - 1],
+                                        dtype=np.uint64))
+        assert u[0] == 2.0 ** -54
+        assert u[1] == 1.0 - 2.0 ** -53
+        # the next word down is untouched by the clamp: (2^53 - 3/2) 2^-53
+        # rounds to even, 1 - 2^-52
+        assert u[2] == 1.0 - 2.0 ** -52
 
     def test_distinct_keys_give_distinct_streams(self):
         a = replicate_uniforms(stream_key("a", 1), 0, 2, 8)

@@ -160,6 +160,59 @@ class TestOptimalWeights:
             assert got_s3.w2 == pytest.approx(base_s3.w2, rel=1e-9)
 
 
+def _hand_expanded(m: OrderStatMoments):
+    """S1, S2 and S3 weights and MSE forms written out in the six aggregate
+    moments of (a + b, q1 + q3, m): the closed forms the solver replaces."""
+    lo, q1, md, q3, hi = m.index_set.indices
+    a = m.var(lo) + m.var(hi) + 2.0 * m.cov(lo, hi)
+    b = m.var(q1) + m.var(q3) + 2.0 * m.cov(q1, q3)
+    c = m.var(md)
+    d = m.cov(lo, q1) + m.cov(lo, q3) + m.cov(hi, q1) + m.cov(hi, q3)
+    e = m.cov(lo, md) + m.cov(hi, md)
+    f = m.cov(q1, md) + m.cov(q3, md)
+    s1 = (4.0 * c - 2.0 * e) / (a + 4.0 * c - 4.0 * e)
+    s2 = (4.0 * c - 2.0 * f) / (b + 4.0 * c - 4.0 * f)
+    m11 = a + 4.0 * c - 4.0 * e
+    m22 = b + 4.0 * c - 4.0 * f
+    m12 = 4.0 * c + d - 2.0 * e - 2.0 * f
+    det = m11 * m22 - m12 * m12
+    r1 = 4.0 * c - 2.0 * e
+    r2 = 4.0 * c - 2.0 * f
+    w1 = (m22 * r1 - m12 * r2) / det
+    w2 = (m11 * r2 - m12 * r1) / det
+    rest = 1.0 - w1 - w2
+    mse = (0.25 * s1 * s1 * a + (1 - s1) ** 2 * c + s1 * (1 - s1) * e,
+           0.25 * s2 * s2 * b + (1 - s2) ** 2 * c + s2 * (1 - s2) * f,
+           0.25 * w1 * w1 * a + 0.25 * w2 * w2 * b + rest * rest * c
+           + 0.5 * w1 * w2 * d + w1 * rest * e + w2 * rest * f)
+    return (s1, s2, w1, w2), mse
+
+
+class TestSolver:
+    def test_matches_hand_expanded_formulas(self, quad_grid_501):
+        for n, m in quad_grid_501.items():
+            (s1, s2, w1, w2), mse = _hand_expanded(m)
+            got = (optimal_weight_s1(m), optimal_weight_s2(m), optimal_weights_s3(m))
+            assert abs(got[0].w - s1) <= 1e-14, n
+            assert abs(got[1].w - s2) <= 1e-14, n
+            assert abs(got[2].w1 - w1) <= 1e-14, n
+            assert abs(got[2].w2 - w2) <= 1e-14, n
+            for ws, want in zip(got, mse):
+                assert abs(weighted_mse(ws, m) - want) <= 1e-14, n
+
+    def test_weight_outside_unit_interval_rejected(self):
+        # positive definite, but the S3 optimum puts a negative weight on
+        # the median
+        m = moments_quadrature(9)
+        second = dict(m.second_moments)
+        second[(1, 5)] = second[(5, 9)] = 0.16
+        skewed = OrderStatMoments(n=9, means=m.means, second_moments=second,
+                                  backend=m.backend, std_error=m.std_error)
+        assert 0.0 < optimal_weight_s1(skewed).w < 1.0
+        with pytest.raises(NumericalError, match="outside"):
+            optimal_weights_s3(skewed)
+
+
 class TestGridBehaviour:
     def test_s1_weight_strictly_decreases(self, quad_grid_501):
         ws = [optimal_weight_s1(m).w for _, m in sorted(quad_grid_501.items())]
