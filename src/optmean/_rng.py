@@ -3,11 +3,13 @@
 Every Monte Carlo consumer in this package draws its randomness through
 `replicate_uniforms`, which assigns replicate ``r`` a fixed window of the
 Philox counter space under a key derived from the experiment labels. The
-value of a replicate therefore depends only on ``(key, r)``: work can be
-chunked or parallelised any way at all and the streams do not move.
+value of a replicate therefore depends only on ``(key, r)`` (Salmon et al.,
+"Parallel random numbers: as easy as 1, 2, 3", SC11): work can be chunked
+or parallelised any way at all and the streams do not move.
 
-Reductions over replicates are done in fixed-size blocks (`BLOCK`) so that
-floating-point accumulation order is also independent of chunking.
+`replicate_chunks` draws replicates in chunks of whole `CELL`-replicate
+cells and `cell_sums` reduces a chunk per cell, so a total built from the
+cells keeps its floating-point accumulation order under any chunking.
 """
 
 from __future__ import annotations
@@ -17,10 +19,10 @@ import hashlib
 import numpy as np
 from numpy.random import Philox
 
-# Replicates per reduction block. Partial sums are always taken over whole
-# blocks (the trailing block may be short), so totals are bit-identical no
-# matter how work is partitioned.
-BLOCK = 8192
+# Replicates per reduction cell, and per drawing chunk (a whole number of
+# cells; only the run's last chunk and last cell may be short).
+CELL = 512
+CHUNK = 16 * CELL
 
 _U64 = np.uint64
 
@@ -74,9 +76,21 @@ def _words_to_uniforms(raw: np.ndarray) -> np.ndarray:
     return u
 
 
-def block_ranges(total: int):
-    """Yield ``(first, count)`` pairs covering ``range(total)`` in BLOCK steps."""
-    first = 0
-    while first < total:
-        yield first, min(BLOCK, total - first)
-        first += BLOCK
+def replicate_chunks(key: tuple[int, int], total: int, draws: int):
+    """Yield ``(first, u)`` with the `replicate_uniforms` rows of replicates
+    ``first ..`` for ``0 .. total-1``, `CHUNK` (a whole number of cells) at a time.
+    """
+    for first in range(0, total, CHUNK):
+        yield first, replicate_uniforms(key, first, min(CHUNK, total - first), draws)
+
+
+def cell_sums(values: np.ndarray) -> np.ndarray:
+    """Sums over axis 0 per `CELL` rows of one chunk; the last cell may be short.
+
+    The result is always C-ordered, so sums over stacked cells run in one order.
+    """
+    full = len(values) // CELL * CELL
+    sums = values[:full].reshape(-1, CELL, *values.shape[1:]).sum(axis=1)
+    if full < len(values):
+        sums = np.concatenate([sums, values[full:].sum(axis=0)[None]])
+    return np.ascontiguousarray(sums)

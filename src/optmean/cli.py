@@ -17,7 +17,11 @@ import csv
 import io
 import json
 import os
+import platform
 import sys
+
+import numpy
+import scipy
 
 from .errors import NumericalError, ScenarioError
 from .estimators import METHODS, SUMMARY_METHODS, Estimate, FiveNumberSummary, \
@@ -40,6 +44,10 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_NUMERICAL = 4
+
+# the MC bits rest on numpy's Philox and scipy's special functions
+_LIBRARIES = {"python": platform.python_version(), "numpy": numpy.__version__,
+              "scipy": scipy.__version__}
 
 
 def _fmt(value) -> str:
@@ -81,7 +89,8 @@ def _write_output(path, text: str):
 
 def _config_header(command: str, settings: dict) -> list[str]:
     from . import __version__
-    lines = [f"# optmean {__version__} {command}"]
+    libraries = ", ".join(f"{name} {v}" for name, v in _LIBRARIES.items())
+    lines = [f"# optmean {__version__} {command} ({libraries})"]
     for key in sorted(settings):
         lines.append(f"# {key}={_fmt(settings[key])}")
     return lines
@@ -102,7 +111,8 @@ def _emit_csv(path, command, settings, fieldnames, rows, footer=None):
 
 def _emit_json(path, command, settings, payload):
     from . import __version__
-    document = {"command": command, "version": __version__, "config": settings}
+    document = {"command": command, "version": __version__,
+                "config": {**settings, "libraries": _LIBRARIES}}
     document.update(payload)
     _write_output(path, json.dumps(document, indent=2, sort_keys=True) + "\n")
 
@@ -274,15 +284,17 @@ def _read_weight_table(path, scenario: Scenario):
     grid = []
     with open(path, "r", encoding="utf-8", newline="") as handle:
         lines = [line for line in handle if not line.startswith("#")]
-    reader = csv.DictReader(lines)
-    for record in reader:
-        if Scenario.parse(record["scenario"]) is not scenario:
-            continue
-        n = int(record["n"])
-        if scenario is Scenario.S3:
-            grid.append((n, float(record["exact_w1"]), float(record["exact_w2"])))
-        else:
-            grid.append((n, float(record["exact_w1"])))
+    try:
+        for record in csv.DictReader(lines, restval=""):
+            if Scenario.parse(record["scenario"]) is not scenario:
+                continue
+            n = int(record["n"])
+            if scenario is Scenario.S3:
+                grid.append((n, float(record["exact_w1"]), float(record["exact_w2"])))
+            else:
+                grid.append((n, float(record["exact_w1"])))
+    except KeyError as exc:
+        raise ValueError(f"{path} is not a weight-table CSV: no column {exc}") from None
     if not grid:
         raise ValueError(f"no rows for scenario {scenario.value} in {path}")
     return grid

@@ -354,7 +354,10 @@ _CSV_FIELDS = ["index", "label", "n_cases", "n_controls", "payload_type",
 def _opt_float(raw: Optional[str]) -> Optional[float]:
     if raw is None or raw.strip() == "":
         return None
-    return float(raw)
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite value {raw.strip()!r}")
+    return value
 
 
 def _req_float(raw: Optional[str], what: str) -> float:

@@ -10,9 +10,11 @@ against the full-sample mean over the same draws. A ratio of 1 means
 parity with the raw sample mean.
 
 Replicate i draws its observations from a dedicated counter window of a
-stream keyed by (seed, distribution, n), and reductions run over fixed
-512-replicate cells, so reports are bit-identical however the work is
-chunked or parallelised.
+stream keyed by (seed, distribution, n), and every sum runs over the fixed
+512-replicate cells of `_rng.cell_sums`, so reports are bit-identical
+however the work is chunked or parallelised. One table holds each
+distribution's parameters, mean and inverse CDF (``scipy.special.ndtri``
+for the normal ones).
 """
 
 from __future__ import annotations
@@ -23,10 +25,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import special
 
-from ._rng import replicate_uniforms, stream_key
+from ._rng import cell_sums, replicate_chunks, replicate_uniforms, stream_key
 from .estimators import FIELDS_BY_SCENARIO, METHODS, FiveNumberSummary, combine, \
     lookup_method
-from .order_stats import OrderIndexSet, _normal_quantile_array
+from .order_stats import OrderIndexSet
 from .weights import Scenario
 
 __all__ = [
@@ -49,46 +51,44 @@ CONTROL_METHOD = "sample_mean"
 DEFAULT_N_GRID = tuple(range(5, 102, 4))
 MIN_REPLICATES = 1_000
 
-# Replicates per reduction cell; partial sums are always taken over whole
-# cells so accumulation order cannot depend on chunk sizes.
-_SUB = 512
-# Target values per drawing chunk (aligned down to whole cells).
-_CHUNK_TARGET = 4_000_000
+# kind -> (canonical params, true mean, inverse CDF taking the params by name)
+_DISTRIBUTIONS = {
+    "normal": ((("mu", 50.0), ("sigma", 17.0)), 50.0,
+               lambda u, mu, sigma: mu + sigma * special.ndtri(u)),
+    "lognormal": ((("location", 4.0), ("scale", 0.3)), math.exp(4.0 + 0.5 * 0.3 ** 2),
+                  lambda u, location, scale: np.exp(location + scale * special.ndtri(u))),
+    "beta": ((("alpha", 9.0), ("beta", 4.0)), 9.0 / 13.0,
+             lambda u, alpha, beta: special.betaincinv(alpha, beta, u)),
+    "exponential": ((("rate", 10.0),), 0.1,
+                    lambda u, rate: -np.log1p(-u) / rate),
+    "weibull": ((("shape", 2.0), ("scale", 35.0)), 35.0 * math.gamma(1.5),
+                lambda u, shape, scale: scale * (-np.log1p(-u)) ** (1.0 / shape)),
+}
+
+DISTRIBUTION_KINDS = tuple(_DISTRIBUTIONS)
 
 
 @dataclass(frozen=True)
 class DistributionSpec:
     """A sampling distribution with its closed-form mean.
 
-    ``params`` is a tuple of (name, value) pairs; use `distribution` to get
-    the canonical parameterizations used throughout the evaluation study.
+    ``kind`` is one of `DISTRIBUTION_KINDS` and ``params`` a tuple of
+    (name, value) pairs for its inverse CDF; use `distribution` to get the
+    canonical parameterizations used throughout the evaluation study.
     """
 
     kind: str
     params: tuple[tuple[str, float], ...]
     true_mean: float
 
-    def param(self, name: str) -> float:
-        for key, value in self.params:
-            if key == name:
-                return value
-        raise KeyError(name)
+    def __post_init__(self):
+        if self.kind not in _DISTRIBUTIONS:
+            raise ValueError(f"unknown distribution kind {self.kind!r}")
 
     def quantile(self, u: np.ndarray) -> np.ndarray:
         """Inverse CDF transform of uniforms in (0, 1)."""
-        u = np.asarray(u, dtype=np.float64)
-        if self.kind == "normal":
-            return self.param("mu") + self.param("sigma") * _normal_quantile_array(u)
-        if self.kind == "lognormal":
-            z = _normal_quantile_array(u)
-            return np.exp(self.param("location") + self.param("scale") * z)
-        if self.kind == "beta":
-            return special.betaincinv(self.param("alpha"), self.param("beta"), u)
-        if self.kind == "exponential":
-            return -np.log1p(-u) / self.param("rate")
-        if self.kind == "weibull":
-            return self.param("scale") * (-np.log1p(-u)) ** (1.0 / self.param("shape"))
-        raise ValueError(f"unknown distribution kind {self.kind!r}")
+        inverse_cdf = _DISTRIBUTIONS[self.kind][2]
+        return inverse_cdf(np.asarray(u, dtype=np.float64), **dict(self.params))
 
 
 def distribution(kind: str) -> DistributionSpec:
@@ -99,24 +99,8 @@ def distribution(kind: str) -> DistributionSpec:
     weibull(shape=2, scale=35).
     """
     kind = str(kind).strip().lower()
-    if kind == "normal":
-        return DistributionSpec("normal", (("mu", 50.0), ("sigma", 17.0)), 50.0)
-    if kind == "lognormal":
-        return DistributionSpec(
-            "lognormal", (("location", 4.0), ("scale", 0.3)),
-            math.exp(4.0 + 0.5 * 0.3 ** 2))
-    if kind == "beta":
-        return DistributionSpec("beta", (("alpha", 9.0), ("beta", 4.0)), 9.0 / 13.0)
-    if kind == "exponential":
-        return DistributionSpec("exponential", (("rate", 10.0),), 0.1)
-    if kind == "weibull":
-        return DistributionSpec(
-            "weibull", (("shape", 2.0), ("scale", 35.0)),
-            35.0 * math.gamma(1.5))
-    raise ValueError(f"unknown distribution kind {kind!r}")
-
-
-DISTRIBUTION_KINDS = ("normal", "lognormal", "beta", "exponential", "weibull")
+    params, true_mean, _ = _DISTRIBUTIONS.get(kind, ((), 0.0, None))
+    return DistributionSpec(kind, params, true_mean)  # refuses an unknown kind
 
 
 def default_methods(scenario) -> tuple[str, ...]:
@@ -228,28 +212,6 @@ def summarize(sample, scenario) -> FiveNumberSummary:
 # the RMSE protocol
 
 
-def _cell_sums(dest: np.ndarray, first_rep: int, values: np.ndarray):
-    """Fill per-cell sums of `values` for replicates starting at first_rep.
-
-    `first_rep` is always a multiple of the cell size, so cell boundaries
-    are identical for every possible chunking.
-    """
-    cell0 = first_rep // _SUB
-    nfull = values.size // _SUB
-    if nfull:
-        dest[cell0:cell0 + nfull] = values[:nfull * _SUB].reshape(nfull, _SUB).sum(axis=1)
-    tail = values[nfull * _SUB:]
-    if tail.size:
-        dest[cell0 + nfull] = tail.sum()
-
-
-def _squared_errors(weights, mid_range, mid_quart, median, mu: float) -> np.ndarray:
-    # kept out of run_rmse's loop: inlined, the same allocations in another
-    # order fragmented the heap and raised peak RSS by up to 10 MB per run
-    err = combine(weights, mid_range, mid_quart, median) - mu
-    return err * err
-
-
 def run_rmse(config: SimulationConfig) -> RmseReport:
     """Run the relative-MSE protocol for every (n, method) of the config."""
     spec = config.distribution
@@ -262,31 +224,26 @@ def run_rmse(config: SimulationConfig) -> RmseReport:
             for method in config.methods if method != CONTROL_METHOD
         }
         key = _spec_key(config.seed, spec, n)
-        ncells = -(-t // _SUB)
-        den_cells = np.zeros(ncells)
-        num_cells = {method: np.zeros(ncells) for method in config.methods}
-        chunk = max(_SUB, (_CHUNK_TARGET // n) // _SUB * _SUB)
+        # per-chunk cell sums of each method's squared errors; the control's
+        # are the full-sample mean's, the ratios' common denominator
+        chunk_cells = {method: [] for method in (CONTROL_METHOD, *config.methods)}
         q = (n - 1) // 4
-        start = 0
-        while start < t:
-            count = min(chunk, t - start)
-            u = replicate_uniforms(key, start, count, n)
+        for _, u in replicate_chunks(key, t, n):
             x = spec.quantile(u)
             sample_mean = x.mean(axis=1)
             x.sort(axis=1)
             mid_range = 0.5 * (x[:, 0] + x[:, -1])
             mid_quart = 0.5 * (x[:, q] + x[:, 3 * q])
             median = x[:, 2 * q]
-            den_err = (sample_mean - mu) ** 2
-            _cell_sums(den_cells, start, den_err)
-            for method in config.methods:
+            for method, per_chunk in chunk_cells.items():
                 if method == CONTROL_METHOD:
-                    errors = den_err
+                    err = sample_mean - mu
                 else:
-                    errors = _squared_errors(weight_sets[method], mid_range,
-                                             mid_quart, median, mu)
-                _cell_sums(num_cells[method], start, errors)
-            start += count
+                    err = combine(weight_sets[method], mid_range, mid_quart, median) - mu
+                per_chunk.append(cell_sums(err * err))
+        cells = {method: np.concatenate(c) for method, c in chunk_cells.items()}
+        den_cells = cells[CONTROL_METHOD]
+        ncells = den_cells.size
         nbatch = min(20, ncells)
         batch_of = (np.arange(ncells) * nbatch) // ncells
         den_total = float(den_cells.sum())
@@ -297,9 +254,8 @@ def run_rmse(config: SimulationConfig) -> RmseReport:
                 "distribution produced constant samples"
             )
         for method in config.methods:
-            cells = num_cells[method]
-            rmse = float(cells.sum()) / den_total
-            batches = np.bincount(batch_of, weights=cells, minlength=nbatch)
+            rmse = float(cells[method].sum()) / den_total
+            batches = np.bincount(batch_of, weights=cells[method], minlength=nbatch)
             ratios = batches / den_batches
             se = float(np.std(ratios, ddof=1) / math.sqrt(nbatch))
             rows.append(RmseRow(

@@ -349,8 +349,8 @@ def fit_power_law(grid: Sequence[tuple], scenario) -> FitCoefficients:
         raise ValueError("grid sample sizes must be at least 5")
     ys = [np.array([float(r[k]) for r in rows]) for k in range(1, want)]
     for y in ys:
-        if np.any((y < 0.0) | (y > 1.0)):
-            raise ValueError("grid weights must lie in [0, 1]")
+        if not np.all((y >= 0.0) & (y <= 1.0)):
+            raise ValueError("grid weights must be finite and lie in [0, 1]")
 
     coeffs, residual, converged = [], 0.0, True
     for y, (model, jac, c1_span, c2_span) in zip(ys, _FITS[scenario]):

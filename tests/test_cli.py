@@ -243,6 +243,32 @@ class TestFit:
             main(["fit", "--scenario", "s1"] + argv)
         assert excinfo.value.code == EXIT_USAGE
 
+    def test_json_weight_table_is_data_error(self, tmp_path, capsys):
+        table = tmp_path / "weights.json"
+        run_cli(["weights", "--scenario", "s1", "--grid", "5:21:4",
+                 "--format", "json", "--output", str(table)], capsys)
+        code, _, err = run_cli([
+            "fit", "--scenario", "s1", "--input", str(table)], capsys)
+        assert code == EXIT_DATA
+        assert "not a weight-table CSV" in err
+
+    def test_short_row_is_data_error(self, tmp_path, capsys):
+        table = tmp_path / "weights.csv"
+        table.write_text("n,scenario,exact_w1\n5,s1,0.55\n9,s1\n"
+                         "13,s1,0.37\n17,s1,0.32\n")
+        code, _, _ = run_cli([
+            "fit", "--scenario", "s1", "--input", str(table)], capsys)
+        assert code == EXIT_DATA
+
+    def test_nan_weight_is_data_error(self, tmp_path, capsys):
+        table = tmp_path / "weights.csv"
+        table.write_text("n,scenario,exact_w1\n5,s1,0.55\n9,s1,0.43\n"
+                         "13,s1,nan\n17,s1,0.32\n")
+        code, _, err = run_cli([
+            "fit", "--scenario", "s1", "--input", str(table)], capsys)
+        assert code == EXIT_DATA
+        assert "finite" in err
+
     def test_underdetermined_input_is_data_error(self, tmp_path, capsys):
         table = tmp_path / "weights.csv"
         run_cli(["weights", "--scenario", "s1", "--grid", "5:9:4",
@@ -314,6 +340,24 @@ class TestMeta:
         assert code == EXIT_DATA
         assert "line 2" in err
 
+    @pytest.mark.parametrize("row", [
+        "1,x,40,40,fivenum,s1,2.25,,16.0,,inf,9.0,,27.25,,132.5,",
+        "1,x,51,51,meansd,69.5,inf,95.5,29.25,,,,,,,,",
+        "1,x,103,42,or,inf,1.3,6.5,,,,,,,,,",
+        "1,x,35,16,meanrange,26.75,2.5,inf,48.5,22.5,145.0,,,,,,",
+    ], ids=["fivenum", "meansd", "or", "meanrange"])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_non_finite_study_value_is_data_error(self, row, fmt, tmp_path, capsys):
+        src = tmp_path / "studies.csv"
+        src.write_text("index,label,n_cases,n_controls,payload_type,"
+                       "f01,f02,f03,f04,f05,f06,f07,f08,f09,f10,f11,note\n"
+                       + row + "\n")
+        code, out, err = run_cli(["meta", "--input", str(src), "--format", fmt],
+                                 capsys)
+        assert code == EXIT_DATA
+        assert out == ""
+        assert "line 2" in err and "finite" in err
+
 
 class TestReproducibility:
     def test_byte_identical_reruns(self, tmp_path, capsys):
@@ -333,6 +377,22 @@ class TestReproducibility:
         assert "# seed=123" in out
         assert "# reps=1000" in out
         assert "# distribution=normal" in out
+
+    def test_outputs_name_library_versions(self, capsys):
+        import platform
+
+        import numpy
+        import scipy
+        libraries = {"python": platform.python_version(),
+                     "numpy": numpy.__version__, "scipy": scipy.__version__}
+        argv = ["weights", "--scenario", "s1", "--n", "9"]
+        _, out, _ = run_cli(argv, capsys)
+        first = out.splitlines()[0]
+        assert first.startswith("# optmean ")
+        for name, version in libraries.items():
+            assert f"{name} {version}" in first
+        _, out, _ = run_cli(argv + ["--format", "json"], capsys)
+        assert json.loads(out)["config"]["libraries"] == libraries
 
     def test_env_var_seed_default(self, monkeypatch):
         monkeypatch.setenv("OPTMEAN_SEED", "31415")

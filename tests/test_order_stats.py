@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 
-from optmean._rng import _words_to_uniforms, replicate_uniforms, stream_key
+from optmean import _rng
+from optmean._rng import _words_to_uniforms, cell_sums, replicate_chunks, \
+    replicate_uniforms, stream_key
 from optmean.errors import ScenarioError
 from optmean.order_stats import (
     AsymptoticQuantileCov,
@@ -18,7 +20,6 @@ from optmean.order_stats import (
     normal_cdf,
     normal_pdf,
     normal_quantile,
-    _normal_quantile_array,
 )
 
 # Frozen from a 40-digit inverse-erf evaluation (mpmath, dps=40).
@@ -90,7 +91,7 @@ class TestNormalQuantile:
     def test_vectorized_matches_scalar(self):
         p = np.concatenate([
             np.geomspace(1e-9, 0.4, 50), 1 - np.geomspace(1e-9, 0.4, 50), [0.5]])
-        z = _normal_quantile_array(p)
+        z = special.ndtri(p)
         for pi, zi in zip(p, z):
             assert zi == pytest.approx(normal_quantile(float(pi)), abs=1e-14)
 
@@ -192,6 +193,15 @@ class TestMomentsMc:
         c = moments_mc(9, 10_000, seed=4)
         assert c.means != a.means
 
+    def test_chunking_does_not_change_results(self, monkeypatch):
+        # 10,000 replicates end in a short cell under either chunk size
+        base = moments_mc(9, 10_000, seed=3)
+        monkeypatch.setattr(_rng, "CHUNK", 3 * _rng.CELL)
+        small_chunks = moments_mc(9, 10_000, seed=3)
+        assert small_chunks.means == base.means
+        assert small_chunks.second_moments == base.second_moments
+        assert small_chunks.std_error == base.std_error
+
     def test_positive_second_moments_and_psd(self):
         m = moments_mc(25, 50_000, seed=5)
         for i in m.index_set.indices:
@@ -280,6 +290,24 @@ class TestUniformStreams:
         # the next word down is untouched by the clamp: (2^53 - 3/2) 2^-53
         # rounds to even, 1 - 2^-52
         assert u[2] == 1.0 - 2.0 ** -52
+
+    def test_chunks_cover_replicates_in_whole_cells(self, monkeypatch):
+        monkeypatch.setattr(_rng, "CHUNK", 2 * _rng.CELL)
+        key = stream_key("unit", 3)
+        total = 5 * _rng.CELL + 7
+        chunks = list(replicate_chunks(key, total, 3))
+        assert [first for first, _ in chunks] == [0, 1024, 2048]
+        assert np.array_equal(np.vstack([u for _, u in chunks]),
+                              replicate_uniforms(key, 0, total, 3))
+
+    def test_cell_sums_end_in_a_short_cell(self):
+        values = np.arange(2 * _rng.CELL + 3, dtype=np.float64).reshape(-1, 1) * [1.0, 2.0]
+        sums = cell_sums(values)
+        assert sums.shape == (3, 2)
+        assert np.array_equal(sums[:, 0], [values[:512, 0].sum(),
+                                           values[512:1024, 0].sum(),
+                                           values[1024:, 0].sum()])
+        assert np.array_equal(sums[:, 1], 2 * sums[:, 0])
 
     def test_distinct_keys_give_distinct_streams(self):
         a = replicate_uniforms(stream_key("a", 1), 0, 2, 8)

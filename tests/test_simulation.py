@@ -5,11 +5,12 @@ import math
 import numpy as np
 import pytest
 
-import optmean.simulation as sim
+from optmean import _rng
 from optmean.errors import ScenarioError
 from optmean.simulation import (
     CONTROL_METHOD,
     DEFAULT_N_GRID,
+    DistributionSpec,
     SimulationConfig,
     default_methods,
     distribution,
@@ -33,6 +34,16 @@ class TestDistributionSpecs:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             distribution("cauchy")
+
+    def test_spec_refuses_unknown_kind(self):
+        with pytest.raises(ValueError, match="unknown distribution kind"):
+            DistributionSpec("cauchy", (("scale", 1.0),), 0.0)
+
+    def test_quantile_reads_params_by_name(self):
+        spec = distribution("weibull")
+        swapped = DistributionSpec("weibull", spec.params[::-1], spec.true_mean)
+        u = np.linspace(0.01, 0.99, 7)
+        assert np.array_equal(swapped.quantile(u), spec.quantile(u))
 
     @pytest.mark.parametrize("kind", ["normal", "lognormal", "beta",
                                       "exponential", "weibull"])
@@ -134,7 +145,7 @@ class TestRunRmse:
 
     def test_chunking_does_not_change_results(self, monkeypatch):
         base = run_rmse(_tiny_config())
-        monkeypatch.setattr(sim, "_CHUNK_TARGET", 3 * sim._SUB * 25)
+        monkeypatch.setattr(_rng, "CHUNK", 3 * _rng.CELL)
         small_chunks = run_rmse(_tiny_config())
         assert base.rows == small_chunks.rows
 

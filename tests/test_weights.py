@@ -291,6 +291,14 @@ class TestFitPowerLaw:
         with pytest.raises(ValueError):
             fit_power_law([(2, 0.5), (9, 0.4), (13, 0.37), (17, 0.32)], "s1")
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_weights_rejected(self, bad):
+        grid = [(5, 0.55), (9, 0.43), (13, bad), (17, 0.32)]
+        with pytest.raises(ValueError, match="finite"):
+            fit_power_law(grid, "s1")
+        with pytest.raises(ValueError, match="finite"):
+            fit_power_law([(n, 0.3, w) for n, w in grid], "s3")
+
     def test_fit_on_exact_model_is_tight(self):
         ns = np.arange(5, 102, 4)
         grid = [(int(n), 0.7 + 0.39 * float(n) ** -1.0) for n in ns]
