@@ -114,6 +114,10 @@ class Estimate:
     method: str
     weight_set: Optional[WeightSet] = None
 
+    def __post_init__(self):
+        if not math.isfinite(self.value):
+            raise ValueError(f"{self.method} estimate overflows to {self.value!r}")
+
 
 @dataclass(frozen=True)
 class Method:

@@ -118,6 +118,8 @@ class StudyEffect:
     var_d: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.d) and math.isfinite(self.var_d)):
+            raise ValueError(f"effect is not finite: d={self.d!r}, var_d={self.var_d!r}")
         if not self.var_d > 0:
             raise ValueError(f"effect variance must be positive, got {self.var_d!r}")
 
@@ -200,8 +202,9 @@ def cohens_d(mean_cases: float, sd_cases: float, n_cases: int,
     d = (mean_controls - mean_cases) / s_pooled with
     s_pooled^2 = ((n_c - 1) sd_c^2 + (n_t - 1) sd_t^2) / (n_c + n_t - 2).
     """
-    if sd_cases <= 0 or sd_controls <= 0:
-        raise ValueError("standard deviations must be positive")
+    if not (0 < sd_cases < math.inf and 0 < sd_controls < math.inf):
+        raise ValueError(f"standard deviations must be positive and finite, "
+                         f"got {sd_cases!r} and {sd_controls!r}")
     if n_cases < 2 or n_controls < 2:
         raise ValueError("each arm needs at least 2 observations")
     pooled_var = (((n_cases - 1) * sd_cases ** 2 + (n_controls - 1) * sd_controls ** 2)

@@ -28,7 +28,7 @@ from scipy import special
 from ._rng import cell_sums, replicate_chunks, replicate_uniforms, stream_key
 from .estimators import FIELDS_BY_SCENARIO, METHODS, FiveNumberSummary, combine, \
     lookup_method
-from .order_stats import OrderIndexSet
+from .order_stats import MAX_QUADRATURE_SIZE, OrderIndexSet
 from .weights import Scenario
 
 __all__ = [
@@ -135,6 +135,9 @@ class SimulationConfig:
             )
         for method in self.methods:
             lookup_method(method, self.scenario)
+        if "optimal_exact" in self.methods and max(self.n_grid) > MAX_QUADRATURE_SIZE:
+            raise ValueError(f"optimal_exact needs quadrature, which supports "
+                             f"n <= {MAX_QUADRATURE_SIZE}; got n={max(self.n_grid)}")
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,8 @@ the sample mean is estimated as a convex combination of the mid-range
 (a + b)/2, the mid-quartile range (q1 + q3)/2, and the median. The weights
 minimising the estimator's mean squared error depend only on the sample
 size and are computed here from standardized order-statistic moments,
-together with the closed-form power-law approximations that track them.
+together with the closed-form power-law approximations that track them,
+which `approx_weight` and `fit_power_law` read from one table.
 
 Scenarios name which fragment a study reports:
 
@@ -161,6 +162,20 @@ def optimal_weights_s3(moments: OrderStatMoments) -> WeightSet:
     return optimal_weights(moments, Scenario.S3)
 
 
+# Per scenario: the printed model form and, per weight series, the model
+# w(n, a, b) with its published (a, b), at which it gives the closed form
+# of `approx_weight` bit for bit; `fit_power_law` starts from them.
+_POWER_LAWS = {
+    Scenario.S1: ("w(n) = c1*n^c2 / (1 + c1*n^c2)",
+                  [(lambda n, c1, c2: c1 / (c1 + n ** -c2), (4.0, -0.75))]),
+    Scenario.S2: ("w(n) = 0.7 + c1*n^c2",
+                  [(lambda n, c1, c2: 0.7 + c1 / n ** -c2, (0.39, -1.0))]),
+    Scenario.S3: ("w1(n) = c1 / (c1 + n^c2);  w2(n) = 0.7 - c3 / n^c4",
+                  [(lambda n, c1, c2: c1 / (c1 + n ** c2), (2.2, 0.75)),
+                   (lambda n, c3, c4: 0.7 - c3 / n ** c4, (0.72, 0.55))]),
+}
+
+
 def approx_weight(scenario, n: int) -> WeightSet:
     """Closed-form power-law approximations to the optimal weights.
 
@@ -168,24 +183,17 @@ def approx_weight(scenario, n: int) -> WeightSet:
     S2: 0.7 + 0.39 / n
     S3: (2.2 / (2.2 + n^0.75), 0.7 - 0.72 / n^0.55)
 
-    Unlike the exact weights these accept any integer n >= 5; below the
+    These are the `_POWER_LAWS` models at their published coefficients.
+    Unlike the exact weights they accept any integer n >= 5; below the
     fitted range they are undefined and refused.
     """
     scenario = Scenario.parse(scenario)
     n = int(n)
     if n < 5:
         raise ValueError(f"approximate weights are only defined for n >= 5, got {n}")
-    if scenario is Scenario.S1:
-        return WeightSet(scenario, n, 4.0 / (4.0 + n ** 0.75), source="approx")
-    if scenario is Scenario.S2:
-        return WeightSet(scenario, n, 0.7 + 0.39 / n, source="approx")
-    return WeightSet(
-        scenario,
-        n,
-        2.2 / (2.2 + n ** 0.75),
-        0.7 - 0.72 / n ** 0.55,
-        source="approx",
-    )
+    return WeightSet(scenario, n, *(model(n, *coeffs)
+                                    for model, coeffs in _POWER_LAWS[scenario][1]),
+                     source="approx")
 
 
 def weighted_mse(weights: WeightSet, moments: OrderStatMoments) -> float:
@@ -225,59 +233,19 @@ class FitCoefficients:
     residual: float = 0.0
 
 
-_MODEL_FORMS = {
-    Scenario.S1: "w(n) = c1*n^c2 / (1 + c1*n^c2)",
-    Scenario.S2: "w(n) = 0.7 + c1*n^c2",
-    Scenario.S3: "w1(n) = c1 / (c1 + n^c2);  w2(n) = 0.7 - c3 / n^c4",
-}
+def _gauss_newton(model, n, y, theta0, max_iter=200, step_tol=1e-12):
+    """Damped Gauss-Newton on weight residuals; returns (theta, sse, converged).
 
-
-def _s1_model(n, c1, c2):
-    k = c1 * n ** c2
-    return k / (1.0 + k)
-
-
-def _s1_jac(n, c1, c2):
-    k = c1 * n ** c2
-    base = 1.0 / (1.0 + k) ** 2
-    return np.column_stack([(k / c1) * base, k * np.log(n) * base])
-
-
-def _s2_model(n, c1, c2):
-    return 0.7 + c1 * n ** c2
-
-
-def _s2_jac(n, c1, c2):
-    p = n ** c2
-    return np.column_stack([p, c1 * p * np.log(n)])
-
-
-def _s3_first_model(n, c1, c2):
-    return c1 / (c1 + n ** c2)
-
-
-def _s3_first_jac(n, c1, c2):
-    p = n ** c2
-    base = 1.0 / (c1 + p) ** 2
-    return np.column_stack([p * base, -c1 * p * np.log(n) * base])
-
-
-def _s3_second_model(n, c3, c4):
-    return 0.7 - c3 * n ** -c4
-
-
-def _s3_second_jac(n, c3, c4):
-    p = n ** -c4
-    return np.column_stack([-p, c3 * np.log(n) * p])
-
-
-def _gauss_newton(model, jac, n, y, theta0, max_iter=200, step_tol=1e-12):
-    """Damped Gauss-Newton on weight residuals; returns (theta, sse)."""
+    Central-difference Jacobian, step 1e-6 * max(1, |theta_k|); a candidate
+    that overflows has a non-finite SSE and is rejected like a worse one.
+    """
     theta = np.asarray(theta0, dtype=float)
     resid = model(n, *theta) - y
     sse = float(resid @ resid)
     for _ in range(max_iter):
-        j = jac(n, *theta)
+        dt = 1e-6 * np.maximum(1.0, np.abs(theta))
+        j = np.column_stack([(model(n, *(theta + dk * e)) - model(n, *(theta - dk * e)))
+                             / (2.0 * dk) for dk, e in zip(dt, np.eye(len(theta)))])
         g = j.T @ resid
         h = j.T @ j
         try:
@@ -287,8 +255,9 @@ def _gauss_newton(model, jac, n, y, theta0, max_iter=200, step_tol=1e-12):
         scale = 1.0
         for _ in range(30):
             cand = theta - scale * step
-            cand_resid = model(n, *cand) - y
-            cand_sse = float(cand_resid @ cand_resid)
+            with np.errstate(over="ignore", invalid="ignore"):
+                cand_resid = model(n, *cand) - y
+                cand_sse = float(cand_resid @ cand_resid)
             if cand_sse <= sse:
                 break
             scale *= 0.5
@@ -301,33 +270,12 @@ def _gauss_newton(model, jac, n, y, theta0, max_iter=200, step_tol=1e-12):
     return theta, sse, False
 
 
-def _grid_start(model, n, y, c1_grid, c2_grid):
-    best = None
-    for c1 in c1_grid:
-        for c2 in c2_grid:
-            r = model(n, c1, c2) - y
-            sse = float(r @ r)
-            if best is None or sse < best[1]:
-                best = ((c1, c2), sse)
-    return best[0]
-
-
-# Per scenario, one entry per weight series: the model, its Jacobian, and
-# the (c1, c2) spans of the coarse start grid.
-_FITS = {
-    Scenario.S1: [(_s1_model, _s1_jac, (0.5, 20.0), (-1.5, -0.25))],
-    Scenario.S2: [(_s2_model, _s2_jac, (0.02, 2.0), (-2.0, -0.4))],
-    Scenario.S3: [(_s3_first_model, _s3_first_jac, (0.5, 20.0), (0.25, 1.5)),
-                  (_s3_second_model, _s3_second_jac, (0.1, 2.0), (0.1, 1.5))],
-}
-
-
 def fit_power_law(grid: Sequence[tuple], scenario) -> FitCoefficients:
     """Refit the weight approximations to a table of true weights.
 
     ``grid`` holds ``(n, w)`` rows for S1/S2 and ``(n, w1, w2)`` rows for
     S3. The criterion is unweighted least squares on the weights, solved by
-    a coarse grid search refined with damped Gauss-Newton. Fewer than four
+    damped Gauss-Newton from the published coefficients. Fewer than four
     rows leave the two-parameter models underdetermined and are refused;
     a fit that stalls raises ``FitConvergenceError`` carrying the best
     coefficients found so far.
@@ -338,7 +286,8 @@ def fit_power_law(grid: Sequence[tuple], scenario) -> FitCoefficients:
         raise ValueError(
             f"need at least 4 grid points to fit, got {len(rows)}"
         )
-    want = 1 + len(_FITS[scenario])
+    form, series = _POWER_LAWS[scenario]
+    want = 1 + len(series)
     for row in rows:
         if len(row) != want:
             raise ValueError(
@@ -353,15 +302,12 @@ def fit_power_law(grid: Sequence[tuple], scenario) -> FitCoefficients:
             raise ValueError("grid weights must be finite and lie in [0, 1]")
 
     coeffs, residual, converged = [], 0.0, True
-    for y, (model, jac, c1_span, c2_span) in zip(ys, _FITS[scenario]):
-        theta0 = _grid_start(model, n, y, np.geomspace(*c1_span, 24),
-                             np.linspace(*c2_span, 26))
-        theta, sse, ok = _gauss_newton(model, jac, n, y, theta0)
+    for y, (model, start) in zip(ys, series):
+        theta, sse, ok = _gauss_newton(model, n, y, start)
         coeffs.extend(theta)
         residual += sse
         converged = converged and ok
-    coeff = FitCoefficients(scenario, _MODEL_FORMS[scenario], *coeffs,
-                            residual=residual)
+    coeff = FitCoefficients(scenario, form, *coeffs, residual=residual)
     if not converged:
         raise FitConvergenceError(
             f"power-law fit for {scenario.value} did not converge; "

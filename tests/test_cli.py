@@ -126,6 +126,31 @@ class TestEstimate:
         assert code == EXIT_DATA
         assert "finite" in err
 
+    @pytest.mark.parametrize("method,lo,mid,hi", [
+        ("hozo-as-applied", "1e308", "1.6e308", "1.7e308"),
+        ("wan-sd", "-1.7e308", "0", "1.7e308")])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_overflowing_estimate_is_usage_error(self, method, lo, mid, hi, fmt,
+                                                 capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["estimate", "--scenario", "s1", "--n", "25", f"--min={lo}",
+                  "--median", mid, "--max", hi, "--method", method,
+                  "--format", fmt])
+        assert excinfo.value.code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "overflows" in captured.err
+
+    def test_batch_overflowing_estimate_is_data_error(self, tmp_path, capsys):
+        src = tmp_path / "summaries.csv"
+        src.write_text("scenario,n,min,q1,median,q3,max\n"
+                       "s1,25,1e308,,1.6e308,,1.7e308\n")
+        code, out, err = run_cli(["estimate", "--input", str(src), "--method",
+                                  "hozo-as-applied", "--format", "json"], capsys)
+        assert code == EXIT_DATA
+        assert out == ""
+        assert "line 2" in err and "overflows" in err
+
     def test_batch_json_format(self, tmp_path, capsys):
         src = tmp_path / "summaries.csv"
         src.write_text(
@@ -306,6 +331,16 @@ class TestSimulate:
                   "--methods", "wan", "--grid", "5:9:4", "--reps", "1000"])
         assert excinfo.value.code == EXIT_USAGE
 
+    def test_exact_method_past_quadrature_limit_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["simulate", "--distribution", "normal", "--scenario", "s1",
+                  "--methods", "optimal_exact", "--grid", "505:505:4",
+                  "--reps", "1000"])
+        assert excinfo.value.code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "n <= 501" in captured.err
+
 
 class TestMeta:
     def test_adaptive_profile_footer(self, capsys):
@@ -357,6 +392,20 @@ class TestMeta:
         assert code == EXIT_DATA
         assert out == ""
         assert "line 2" in err and "finite" in err
+
+    @pytest.mark.parametrize("row", [
+        "2,x,20,20,meansd,1e308,1,-1e308,1,,,,,,,,",
+        "2,x,20,20,meanrange,10,-1e308,1.7e308,12,0,30,,,,,,",
+    ], ids=["meansd", "meanrange"])
+    def test_overflowing_effect_is_data_error(self, row, tmp_path, capsys):
+        src = tmp_path / "studies.csv"
+        src.write_text("index,label,n_cases,n_controls,payload_type,"
+                       "f01,f02,f03,f04,f05,f06,f07,f08,f09,f10,f11,note\n"
+                       "1,a,20,20,meansd,1,1,2,1,,,,,,,,\n" + row + "\n")
+        code, out, err = run_cli(["meta", "--input", str(src)], capsys)
+        assert code == EXIT_DATA
+        assert out == ""
+        assert "study 2" in err and "finite" in err
 
 
 class TestReproducibility:

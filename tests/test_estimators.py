@@ -222,6 +222,16 @@ class TestSdEstimate:
             wan_sd_from_extremes(0.0, 1.0, 4)
 
 
+class TestNonFiniteEstimates:
+    def test_overflowing_mean_refused(self):
+        with pytest.raises(ValueError, match="overflows"):
+            mean_hozo(s1(25, 1e308, 1.6e308, 1.7e308), "unconditional")
+
+    def test_overflowing_sd_refused(self):
+        with pytest.raises(ValueError, match="overflows"):
+            sd_estimate(s1(25, -1.7e308, 0.0, 1.7e308), "wan")
+
+
 ordered5 = st.lists(
     st.floats(min_value=-100, max_value=100, allow_nan=False), min_size=5,
     max_size=5).map(sorted)

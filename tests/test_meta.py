@@ -67,6 +67,16 @@ class TestCohensD:
         with pytest.raises(ValueError):
             cohens_d(0.0, sd_c, n_c, 1.0, sd_t, n_t)
 
+    def test_non_finite_effect_refused(self):
+        with pytest.raises(ValueError, match="finite"):
+            StudyEffect(d=-math.inf, var_d=math.inf)
+        with pytest.raises(ValueError, match="finite"):
+            cohens_d(1e308, 1.0, 20, -1e308, 1.0, 20)
+
+    def test_non_finite_sd_refused(self):
+        with pytest.raises(ValueError, match="finite"):
+            cohens_d(10.0, math.inf, 20, 12.0, 8.0, 20)
+
     @given(scale=st.floats(min_value=0.01, max_value=1000))
     @settings(max_examples=60)
     def test_scale_invariance(self, scale):

@@ -118,6 +118,16 @@ class TestConfigValidation:
             SimulationConfig(distribution=distribution("normal"), scenario="s1",
                              methods=("trimmed",), replicates=2000)
 
+    def test_exact_weights_need_quadrature_sizes(self):
+        with pytest.raises(ValueError, match="n <= 501"):
+            SimulationConfig(distribution=distribution("normal"), scenario="s1",
+                             methods=("optimal_exact",), n_grid=(5, 505),
+                             replicates=2000)
+        # other methods have no such limit
+        SimulationConfig(distribution=distribution("normal"), scenario="s1",
+                         methods=("optimal_approx",), n_grid=(505,),
+                         replicates=2000)
+
     def test_default_grid(self):
         assert DEFAULT_N_GRID[0] == 5
         assert DEFAULT_N_GRID[-1] == 101

@@ -88,6 +88,14 @@ class TestApproxWeight:
         with pytest.raises(ValueError):
             approx_weight("s1", n)
 
+    def test_equals_written_out_closed_forms_bitwise(self):
+        for n in range(5, 20001):
+            assert approx_weight("s1", n).w == 4.0 / (4.0 + n ** 0.75)
+            assert approx_weight("s2", n).w == 0.7 + 0.39 / n
+            ws = approx_weight("s3", n)
+            assert ws.w1 == 2.2 / (2.2 + n ** 0.75)
+            assert ws.w2 == 0.7 - 0.72 / n ** 0.55
+
 
 class TestOptimalWeights:
     @pytest.mark.parametrize("n,gold", [(5, 0.5514), (25, 0.2642)])
@@ -307,6 +315,18 @@ class TestFitPowerLaw:
         assert fit.c2 == pytest.approx(-1.0, abs=1e-6)
         assert fit.residual < 1e-16
         assert isinstance(fit, FitCoefficients)
+
+    @pytest.mark.parametrize("scenario,published", [
+        ("s1", (4.0, -0.75)), ("s3", (2.2, 0.75, 0.72, 0.55))])
+    def test_fit_on_approx_table_recovers_published(self, scenario, published):
+        grid = []
+        for n in range(5, 102, 4):
+            ws = approx_weight(scenario, n)
+            grid.append((n, ws.w1) if ws.w2 is None else (n, ws.w1, ws.w2))
+        fit = fit_power_law(grid, scenario)
+        coeffs = [c for c in (fit.c1, fit.c2, fit.c3, fit.c4) if c is not None]
+        assert coeffs == pytest.approx(published, abs=1e-6)
+        assert fit.residual < 1e-16
 
     def test_nonconvergence_reports_best_effort(self):
         # weights that no monotone power law can chase: alternate extremes
