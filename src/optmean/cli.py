@@ -24,8 +24,8 @@ import numpy
 import scipy
 
 from .errors import NumericalError, ScenarioError
-from .estimators import METHODS, SUMMARY_METHODS, Estimate, FiveNumberSummary, \
-    estimate_mean, mean_weighted, sd_estimate
+from .estimators import METHODS, SD_METHODS, SUMMARY_METHODS, Estimate, \
+    FiveNumberSummary, estimate_mean, mean_weighted, sd_estimate
 from .meta import PROFILES, StudyConversionError, load_bundled_studies, \
     read_study_csv, run_case_study
 from .order_stats import MAX_QUADRATURE_SIZE, MIN_MC_REPLICATES, moments_mc, \
@@ -144,7 +144,7 @@ def _check_backend(args, sizes=()):
 # estimate
 
 _MEAN_METHODS = tuple(m.replace("_", "-") for m in SUMMARY_METHODS) + ("weighted",)
-_SD_METHODS = ("wan-sd", "hozo-sd")
+_SD_METHODS = tuple(f"{name}-sd" for name in SD_METHODS)
 
 _SUMMARY_COLUMNS = ("scenario", "n", "min", "q1", "median", "q3", "max")
 
@@ -495,7 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profile", choices=tuple(PROFILES), default="table3")
     p.add_argument("--mean-method", type=_method_name, choices=SUMMARY_METHODS,
                    default=None, help="override the profile's mean estimator")
-    p.add_argument("--sd-method", choices=("wan", "hozo"), default=None)
+    p.add_argument("--sd-method", choices=tuple(SD_METHODS), default=None)
     common(p)
     p.set_defaults(func=_cmd_meta)
 

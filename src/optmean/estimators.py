@@ -3,9 +3,9 @@
 All mean estimators are convex combinations of the mid-range, the
 mid-quartile range, and the median, so each is a row of the method table
 `METHODS` (its scenarios and weight rule; legacy rules are fixed weights)
-and all are evaluated through the same arithmetic, `combine`. Companion
-standard deviation estimators (the quantile-based rule and Hozo's range
-rules) are included because the meta-analysis pipeline needs both.
+and all are evaluated through the same arithmetic, `combine`. The companion
+standard deviation rules (the quantile-based rule and Hozo's range rules)
+are the rows of `SD_METHODS`, because the meta-analysis pipeline needs both.
 """
 
 from __future__ import annotations
@@ -32,6 +32,8 @@ __all__ = [
     "mean_bland",
     "mean_weighted",
     "mean_optimal",
+    "SdMethod",
+    "SD_METHODS",
     "sd_estimate",
     "wan_sd_from_extremes",
     "wan_sd_from_quartiles",
@@ -170,11 +172,11 @@ METHODS = {
 SUMMARY_METHODS = tuple(name for name, m in METHODS.items() if m.weights is not None)
 
 
-def lookup_method(name: str, scenario) -> Method:
-    """The `METHODS` row for ``name``: ValueError if there is none,
-    ScenarioError if it does not apply to ``scenario``."""
+def lookup_method(name: str, scenario, table=METHODS):
+    """The ``table`` (`METHODS` or `SD_METHODS`) row for ``name``: ValueError
+    if there is none, ScenarioError if it does not apply to ``scenario``."""
     scenario = Scenario.parse(scenario)
-    method = METHODS.get(name)
+    method = table.get(name)
     if method is None:
         raise ValueError(f"unknown method {name!r}")
     if scenario not in method.scenarios:
@@ -295,43 +297,53 @@ def hozo_sd_from_range(minimum: float, maximum: float, n: int,
     needs the median; 15 < n <= 70 uses range/4; larger n uses range/6.
     """
     _check_sd_inputs(minimum, maximum, n)
+    width = maximum - minimum
     if n <= 15:
         if median is None:
             raise ValueError("hozo SD needs the median when n <= 15")
         spread = minimum - 2.0 * median + maximum
-        return ((spread * spread / 4.0 + (maximum - minimum) ** 2) / 12.0) ** 0.5
-    if n <= 70:
-        return (maximum - minimum) / 4.0
-    return (maximum - minimum) / 6.0
+        return ((spread * spread / 4.0 + width * width) / 12.0) ** 0.5
+    return width / 4.0 if n <= 70 else width / 6.0
 
 
-def sd_estimate(summary: FiveNumberSummary, method: str = "wan") -> Estimate:
-    """Standard deviation estimate from a summary fragment.
+def _wan_sd(summary: FiveNumberSummary) -> float:
+    # the range for S1, the interquartile range for S2, their average for S3
+    if summary.scenario is Scenario.S1:
+        return wan_sd_from_extremes(summary.minimum, summary.maximum, summary.n)
+    if summary.scenario is Scenario.S2:
+        return wan_sd_from_quartiles(summary.q1, summary.q3, summary.n)
+    return 0.5 * (wan_sd_from_extremes(summary.minimum, summary.maximum, summary.n)
+                  + wan_sd_from_quartiles(summary.q1, summary.q3, summary.n))
 
-    ``wan`` uses the range for S1, the interquartile range for S2, and the
-    average of the two for S3. ``hozo`` applies the stepwise range rules and
-    is defined for S1 only.
-    """
-    if method == "wan":
-        if summary.scenario is Scenario.S1:
-            value = wan_sd_from_extremes(summary.minimum, summary.maximum, summary.n)
-        elif summary.scenario is Scenario.S2:
-            value = wan_sd_from_quartiles(summary.q1, summary.q3, summary.n)
-        else:
-            value = 0.5 * (
-                wan_sd_from_extremes(summary.minimum, summary.maximum, summary.n)
-                + wan_sd_from_quartiles(summary.q1, summary.q3, summary.n)
-            )
-        return Estimate(value, "wan_sd")
-    if method == "hozo":
-        if summary.scenario is not Scenario.S1:
-            raise ScenarioError(
-                f"hozo SD needs a scenario s1 summary, got {summary.scenario.value}")
-        value = hozo_sd_from_range(
-            summary.minimum, summary.maximum, summary.n, median=summary.median
-        )
-        return Estimate(value, "hozo_sd")
-    raise ValueError(f"unknown SD method {method!r}")
+
+@dataclass(frozen=True)
+class SdMethod:
+    """One SD rule: the scenarios it applies to, its value on a summary,
+    its value from ``(minimum, maximum, n)`` alone, and its output label."""
+
+    scenarios: frozenset
+    on_summary: Callable[[FiveNumberSummary], float]
+    from_range: Callable[[float, float, int], float]
+    label: str
+
+
+SD_METHODS = {
+    # Wan et al. 2014 (BMC Med Res Methodol 14:135); `sd_estimate`'s default
+    "wan": SdMethod(_ALL, _wan_sd, wan_sd_from_extremes, "wan_sd"),
+    # Hozo et al. 2005 (BMC Med Res Methodol 5:13): stepwise range rules
+    "hozo": SdMethod(
+        frozenset({Scenario.S1}),
+        lambda s: hozo_sd_from_range(s.minimum, s.maximum, s.n, median=s.median),
+        hozo_sd_from_range, "hozo_sd"),
+}
+
+
+def sd_estimate(summary: FiveNumberSummary,
+                method: str = next(iter(SD_METHODS))) -> Estimate:
+    """Standard deviation estimate of ``summary`` by the `SD_METHODS` rule
+    ``method``."""
+    row = lookup_method(method, summary.scenario, SD_METHODS)
+    return Estimate(row.on_summary(summary), row.label)
 
 
 def _check_sd_inputs(lower: float, upper: float, n: int):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from importlib import resources
 from typing import Optional, Sequence, Union
 
@@ -19,11 +19,11 @@ from scipy import special
 
 from .errors import ScenarioError
 from .estimators import (
+    SD_METHODS,
     FiveNumberSummary,
     estimate_mean,
-    hozo_sd_from_range,
+    lookup_method,
     sd_estimate,
-    wan_sd_from_extremes,
 )
 
 __all__ = [
@@ -207,8 +207,11 @@ def cohens_d(mean_cases: float, sd_cases: float, n_cases: int,
                          f"got {sd_cases!r} and {sd_controls!r}")
     if n_cases < 2 or n_controls < 2:
         raise ValueError("each arm needs at least 2 observations")
-    pooled_var = (((n_cases - 1) * sd_cases ** 2 + (n_controls - 1) * sd_controls ** 2)
+    pooled_var = (((n_cases - 1) * (sd_cases * sd_cases)
+                   + (n_controls - 1) * (sd_controls * sd_controls))
                   / (n_cases + n_controls - 2))
+    if not math.isfinite(pooled_var):
+        raise ValueError(f"pooled variance is not finite: {pooled_var!r}")
     d = (mean_controls - mean_cases) / math.sqrt(pooled_var)
     return StudyEffect(d=d, var_d=_smd_variance(d, n_cases, n_controls))
 
@@ -288,38 +291,42 @@ def pool_random_effects(effects: Sequence[StudyEffect]) -> MetaResult:
 # the case-study runner
 
 
+def _fivenum_effect(p, record, mean_method, sd_method):
+    mean_c = estimate_mean(p.cases, mean_method).value
+    mean_t = estimate_mean(p.controls, mean_method).value
+    sd_c = sd_estimate(p.cases, sd_method).value
+    sd_t = sd_estimate(p.controls, sd_method).value
+    return cohens_d(mean_c, sd_c, record.n_cases, mean_t, sd_t, record.n_controls)
+
+
+def _meanrange_effect(p, record, mean_method, sd_method):
+    # a range is an S1 fragment without its median
+    sd_rule = lookup_method(sd_method, "s1", SD_METHODS).from_range
+    return cohens_d(
+        p.mean_cases, sd_rule(p.min_cases, p.max_cases, record.n_cases), record.n_cases,
+        p.mean_controls, sd_rule(p.min_controls, p.max_controls, record.n_controls),
+        record.n_controls)
+
+
+# payload_type -> (payload class, its conversion to a StudyEffect, called as
+# convert(payload, record, mean_method, sd_method))
+_PAYLOADS = {
+    "fivenum": (FiveNumberPayload, _fivenum_effect),
+    "meansd": (MeanSdPayload, lambda p, record, *_: cohens_d(
+        p.mean_cases, p.sd_cases, record.n_cases,
+        p.mean_controls, p.sd_controls, record.n_controls)),
+    "or": (OddsRatioPayload, lambda p, record, *_: odds_ratio_to_d(
+        p.odds_ratio, (p.ci_low, p.ci_high), record.n_cases, record.n_controls)),
+    "meanrange": (MeanRangePayload, _meanrange_effect),
+}
+_EFFECTS = dict(_PAYLOADS.values())
+
+
 def _study_effect(record: StudyRecord, mean_method: str, sd_method: str) -> StudyEffect:
-    payload = record.payload
-    if isinstance(payload, MeanSdPayload):
-        return cohens_d(payload.mean_cases, payload.sd_cases, record.n_cases,
-                        payload.mean_controls, payload.sd_controls, record.n_controls)
-    if isinstance(payload, OddsRatioPayload):
-        return odds_ratio_to_d(payload.odds_ratio,
-                               (payload.ci_low, payload.ci_high),
-                               record.n_cases, record.n_controls)
-    if isinstance(payload, FiveNumberPayload):
-        mean_c = estimate_mean(payload.cases, mean_method).value
-        mean_t = estimate_mean(payload.controls, mean_method).value
-        sd_c = sd_estimate(payload.cases, sd_method).value
-        sd_t = sd_estimate(payload.controls, sd_method).value
-        return cohens_d(mean_c, sd_c, record.n_cases,
-                        mean_t, sd_t, record.n_controls)
-    if isinstance(payload, MeanRangePayload):
-        if sd_method == "wan":
-            sd_c = wan_sd_from_extremes(payload.min_cases, payload.max_cases,
-                                        record.n_cases)
-            sd_t = wan_sd_from_extremes(payload.min_controls, payload.max_controls,
-                                        record.n_controls)
-        elif sd_method == "hozo":
-            sd_c = hozo_sd_from_range(payload.min_cases, payload.max_cases,
-                                      record.n_cases)
-            sd_t = hozo_sd_from_range(payload.min_controls, payload.max_controls,
-                                      record.n_controls)
-        else:
-            raise ValueError(f"unknown SD method {sd_method!r}")
-        return cohens_d(payload.mean_cases, sd_c, record.n_cases,
-                        payload.mean_controls, sd_t, record.n_controls)
-    raise ValueError(f"unsupported payload type {type(payload).__name__}")
+    effect = _EFFECTS.get(type(record.payload))
+    if effect is None:
+        raise ValueError(f"unsupported payload type {type(record.payload).__name__}")
+    return effect(record.payload, record, mean_method, sd_method)
 
 
 def run_case_study(records: Sequence[StudyRecord], mean_method: str,
@@ -349,9 +356,8 @@ def run_case_study(records: Sequence[StudyRecord], mean_method: str,
 # ---------------------------------------------------------------------------
 # study-record CSV input
 
-_CSV_FIELDS = ["index", "label", "n_cases", "n_controls", "payload_type",
-               "f01", "f02", "f03", "f04", "f05", "f06", "f07", "f08", "f09",
-               "f10", "f11", "note"]
+# then f01..f11 (positional per payload type) and note
+_CSV_COLUMNS = ["index", "label", "n_cases", "n_controls", "payload_type"]
 
 
 def _opt_float(raw: Optional[str]) -> Optional[float]:
@@ -372,50 +378,29 @@ def _req_float(raw: Optional[str], what: str) -> float:
 
 def _parse_payload(row: dict, n_cases: int, n_controls: int) -> Payload:
     kind = row["payload_type"].strip().lower()
+    if kind not in _PAYLOADS:
+        raise ValueError(f"unknown payload type {kind!r}")
+    cls = _PAYLOADS[kind][0]
     f = [row.get(f"f{k:02d}") for k in range(1, 12)]
-    if kind == "fivenum":
-        scenario = (f[0] or "").strip().lower()
-        if not scenario:
-            raise ValueError("fivenum payload needs a scenario in f01")
-        cases = FiveNumberSummary(
-            scenario=scenario, n=n_cases,
-            minimum=_opt_float(f[1]), q1=_opt_float(f[2]),
-            median=_req_float(f[3], "cases median (f04)"),
-            q3=_opt_float(f[4]), maximum=_opt_float(f[5]))
-        controls = FiveNumberSummary(
-            scenario=scenario, n=n_controls,
-            minimum=_opt_float(f[6]), q1=_opt_float(f[7]),
-            median=_req_float(f[8], "controls median (f09)"),
-            q3=_opt_float(f[9]), maximum=_opt_float(f[10]))
-        return FiveNumberPayload(cases=cases, controls=controls)
-    if kind == "meansd":
-        return MeanSdPayload(
-            mean_cases=_req_float(f[0], "mean_cases (f01)"),
-            sd_cases=_req_float(f[1], "sd_cases (f02)"),
-            mean_controls=_req_float(f[2], "mean_controls (f03)"),
-            sd_controls=_req_float(f[3], "sd_controls (f04)"))
-    if kind == "or":
-        return OddsRatioPayload(
-            odds_ratio=_req_float(f[0], "odds_ratio (f01)"),
-            ci_low=_req_float(f[1], "ci_low (f02)"),
-            ci_high=_req_float(f[2], "ci_high (f03)"))
-    if kind == "meanrange":
-        return MeanRangePayload(
-            mean_cases=_req_float(f[0], "mean_cases (f01)"),
-            min_cases=_req_float(f[1], "min_cases (f02)"),
-            max_cases=_req_float(f[2], "max_cases (f03)"),
-            mean_controls=_req_float(f[3], "mean_controls (f04)"),
-            min_controls=_req_float(f[4], "min_controls (f05)"),
-            max_controls=_req_float(f[5], "max_controls (f06)"))
-    raise ValueError(f"unknown payload type {kind!r}")
+    if cls is not FiveNumberPayload:
+        # all fields required, in field order from f01
+        return cls(*(_req_float(raw, f"{field.name} (f{k:02d})")
+                     for k, (field, raw) in enumerate(zip(fields(cls), f), start=1)))
+    scenario = (f[0] or "").strip().lower()
+    if not scenario:
+        raise ValueError("fivenum payload needs a scenario in f01")
+    return FiveNumberPayload(*(
+        FiveNumberSummary(
+            scenario=scenario, n=n,
+            minimum=_opt_float(f[k + 1]), q1=_opt_float(f[k + 2]),
+            median=_req_float(f[k + 3], f"{arm} median (f{k + 4:02d})"),
+            q3=_opt_float(f[k + 4]), maximum=_opt_float(f[k + 5]))
+        for k, arm, n in ((0, "cases", n_cases), (5, "controls", n_controls))))
 
 
 def _parse_rows(reader: csv.DictReader) -> list[StudyRecord]:
-    if reader.fieldnames is None or reader.fieldnames[:5] != _CSV_FIELDS[:5]:
-        raise ValueError(
-            "study CSV must start with columns "
-            + ",".join(_CSV_FIELDS[:5])
-        )
+    if reader.fieldnames is None or reader.fieldnames[:5] != _CSV_COLUMNS:
+        raise ValueError("study CSV must start with columns " + ",".join(_CSV_COLUMNS))
     records = []
     for lineno, row in enumerate(reader, start=2):
         try:

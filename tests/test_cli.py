@@ -7,7 +7,11 @@ import json
 import pytest
 
 from optmean.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, build_parser, main
-from optmean.estimators import METHODS, SUMMARY_METHODS
+from optmean.estimators import METHODS, SD_METHODS, SUMMARY_METHODS, \
+    FiveNumberSummary, estimate_mean, sd_estimate
+from optmean.errors import ScenarioError
+from optmean.meta import cohens_d, load_bundled_studies, read_study_csv, \
+    run_case_study
 from optmean.weights import Scenario
 
 
@@ -136,6 +140,16 @@ class TestEstimate:
             main(["estimate", "--scenario", "s1", "--n", "25", f"--min={lo}",
                   "--median", mid, "--max", hi, "--method", method,
                   "--format", fmt])
+        assert excinfo.value.code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "overflows" in captured.err
+
+    def test_overflowing_hozo_sd_is_usage_error(self, capsys):
+        # n <= 15 squares the range, which overflows for a finite range
+        with pytest.raises(SystemExit) as excinfo:
+            main(["estimate", "--scenario", "s1", "--n", "9", "--min=-1e200",
+                  "--median", "0", "--max", "1e200", "--method", "hozo-sd"])
         assert excinfo.value.code == EXIT_USAGE
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -396,7 +410,9 @@ class TestMeta:
     @pytest.mark.parametrize("row", [
         "2,x,20,20,meansd,1e308,1,-1e308,1,,,,,,,,",
         "2,x,20,20,meanrange,10,-1e308,1.7e308,12,0,30,,,,,,",
-    ], ids=["meansd", "meanrange"])
+        "2,x,20,20,meansd,1,1e200,2,1,,,,,,,,",
+        "2,x,20,20,meanrange,1,-1e200,1e200,2,0,4,,,,,,",
+    ], ids=["meansd", "meanrange", "meansd-squared-sd", "meanrange-squared-sd"])
     def test_overflowing_effect_is_data_error(self, row, tmp_path, capsys):
         src = tmp_path / "studies.csv"
         src.write_text("index,label,n_cases,n_controls,payload_type,"
@@ -406,6 +422,45 @@ class TestMeta:
         assert code == EXIT_DATA
         assert out == ""
         assert "study 2" in err and "finite" in err
+
+    @pytest.mark.parametrize("kind,names", [
+        ("meansd", ("mean_cases", "sd_cases", "mean_controls", "sd_controls")),
+        ("or", ("odds_ratio", "ci_low", "ci_high")),
+        ("meanrange", ("mean_cases", "min_cases", "max_cases", "mean_controls",
+                       "min_controls", "max_controls")),
+    ])
+    def test_missing_payload_field_is_data_error(self, kind, names, tmp_path,
+                                                 capsys):
+        full = {"meansd": ["69.5", "24.5", "95.5", "29.25"],
+                "or": ["3.1", "1.3", "6.5"],
+                "meanrange": ["26.75", "2.5", "80", "48.5", "22.5", "145"]}[kind]
+        src = tmp_path / "studies.csv"
+        for k, name in enumerate(names):
+            values = full[:k] + [""] + full[k + 1:]
+            fields = ",".join(values + [""] * (11 - len(values)))
+            src.write_text("index,label,n_cases,n_controls,payload_type,"
+                           "f01,f02,f03,f04,f05,f06,f07,f08,f09,f10,f11,note\n"
+                           f"1,x,30,30,{kind},{fields},\n")
+            code, out, err = run_cli(["meta", "--input", str(src)], capsys)
+            assert code == EXIT_DATA
+            assert out == ""
+            assert f"missing required field {name} (f{k + 1:02d})" in err
+
+    def test_sd_method_overrides_profile(self, capsys):
+        want = run_case_study(load_bundled_studies(), "hozo_as_applied", "wan")
+        code, out, _ = run_cli(["meta", "--profile", "table2", "--sd-method",
+                                "wan", "--format", "json"], capsys)
+        assert code == EXIT_OK
+        doc = json.loads(out)
+        assert doc["config"]["sd_method"] == "wan"
+        assert doc["result"]["pooled_d"] == want.pooled_d
+        assert [e["d"] for e in doc["result"]["effects"]] == \
+            [e.d for e in want.effects]
+        code, out, _ = run_cli(["meta", "--profile", "table2", "--sd-method",
+                                "wan"], capsys)
+        assert code == EXIT_OK
+        assert "# sd_method=wan" in out.splitlines()
+        assert footer_stats(out)["pooled_d"] == format(want.pooled_d, ".10g")
 
 
 class TestReproducibility:
@@ -541,6 +596,86 @@ class TestMethodTable:
         ["meta", "--mean-method", "midmean"],
         ["simulate", "--distribution", "normal", "--scenario", "s1",
          "--methods", "midmean", "--grid", "5:5:4", "--reps", "1000"],
+    ])
+    def test_refused_names(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == EXIT_USAGE
+
+
+def _summary(scenario, n):
+    flags = SCENARIO_VALUES[scenario]
+    values = {flag[2:]: float(v) for flag, v in zip(flags[::2], flags[1::2])}
+    return FiveNumberSummary(scenario, n, median=values["median"],
+                             minimum=values.get("min"), q1=values.get("q1"),
+                             q3=values.get("q3"), maximum=values.get("max"))
+
+
+def _sd_study_csv(path, scenario):
+    # one five-number study and one mean-with-range study
+    fields = STUDY_FIELDS[scenario].format(s=scenario)
+    path.write_text(
+        "index,label,n_cases,n_controls,payload_type,"
+        "f01,f02,f03,f04,f05,f06,f07,f08,f09,f10,f11,note\n"
+        f"1,a,9,13,fivenum,{fields},\n"
+        "2,b,35,16,meanrange,26.75,2.5,80.0,48.5,22.5,145.0,,,,,,\n")
+    return str(path)
+
+
+class TestSdMethodTable:
+    """Every SD rule of the table through `sd_estimate`, `estimate` and `meta`."""
+
+    @pytest.mark.parametrize("name", tuple(SD_METHODS))
+    @pytest.mark.parametrize("scenario", ["s1", "s2", "s3"])
+    def test_estimate(self, name, scenario, capsys):
+        argv = ["estimate", "--scenario", scenario, "--n", "9", "--method",
+                f"{name}-sd", "--format", "json"] + SCENARIO_VALUES[scenario]
+        summary = _summary(scenario, 9)
+        if Scenario(scenario) in SD_METHODS[name].scenarios:
+            want = sd_estimate(summary, name)
+            assert want.method == SD_METHODS[name].label
+            code, out, _ = run_cli(argv, capsys)
+            assert code == EXIT_OK
+            result = json.loads(out)["result"]
+            assert (result["method"], result["value"]) == (want.method, want.value)
+        else:
+            with pytest.raises(ScenarioError):
+                sd_estimate(summary, name)
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv)
+            assert excinfo.value.code == EXIT_USAGE
+
+    @pytest.mark.parametrize("name", tuple(SD_METHODS))
+    @pytest.mark.parametrize("scenario", ["s1", "s2", "s3"])
+    def test_meta(self, name, scenario, tmp_path, capsys):
+        # the scenario comes from the study file, so a mismatch is a data error
+        src = _sd_study_csv(tmp_path / "studies.csv", scenario)
+        code, out, err = run_cli(["meta", "--input", src, "--sd-method", name,
+                                  "--format", "json"], capsys)
+        if Scenario(scenario) not in SD_METHODS[name].scenarios:
+            assert code == EXIT_DATA
+            assert "does not apply" in err
+            return
+        assert code == EXIT_OK
+        doc = json.loads(out)
+        assert doc["config"]["sd_method"] == name
+        mean_method = doc["config"]["mean_method"]
+        arms = read_study_csv(src)[0].payload
+        fivenum = cohens_d(
+            estimate_mean(arms.cases, mean_method).value,
+            sd_estimate(arms.cases, name).value, 9,
+            estimate_mean(arms.controls, mean_method).value,
+            sd_estimate(arms.controls, name).value, 13)
+        from_range = SD_METHODS[name].from_range
+        meanrange = cohens_d(26.75, from_range(2.5, 80.0, 35), 35,
+                             48.5, from_range(22.5, 145.0, 16), 16)
+        assert [e["d"] for e in doc["result"]["effects"]] == [fivenum.d, meanrange.d]
+
+    @pytest.mark.parametrize("argv", [
+        ["estimate", "--scenario", "s1", "--n", "9", "--method", "range-sd"]
+        + SCENARIO_VALUES["s1"],
+        ["meta", "--sd-method", "range"],
+        ["meta", "--sd-method", "wan-sd"],
     ])
     def test_refused_names(self, argv, capsys):
         with pytest.raises(SystemExit) as excinfo:

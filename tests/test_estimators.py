@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from optmean.errors import ScenarioError
 from optmean.estimators import (
+    SD_METHODS,
     FiveNumberSummary,
     hozo_sd_from_range,
     mean_bland,
@@ -221,6 +222,14 @@ class TestSdEstimate:
         with pytest.raises(ValueError):
             wan_sd_from_extremes(0.0, 1.0, 4)
 
+    @pytest.mark.parametrize("name", tuple(SD_METHODS))
+    def test_range_rule_is_the_s1_rule_above_n15(self, name):
+        # above n = 15 neither s1 rule reads the median
+        row = SD_METHODS[name]
+        for n in (16, 40, 70, 71, 200):
+            assert row.from_range(2.25, 74.25, n) == \
+                row.on_summary(s1(n, 2.25, 16.0, 74.25))
+
 
 class TestNonFiniteEstimates:
     def test_overflowing_mean_refused(self):
@@ -230,6 +239,12 @@ class TestNonFiniteEstimates:
     def test_overflowing_sd_refused(self):
         with pytest.raises(ValueError, match="overflows"):
             sd_estimate(s1(25, -1.7e308, 0.0, 1.7e308), "wan")
+
+    def test_squared_range_overflows_to_inf(self):
+        # a finite range whose square overflows gives inf, not OverflowError
+        assert hozo_sd_from_range(-1e200, 1e200, 9, median=0.0) == math.inf
+        with pytest.raises(ValueError, match="overflows"):
+            sd_estimate(s1(9, -1e200, 0.0, 1e200), "hozo")
 
 
 ordered5 = st.lists(

@@ -62,7 +62,8 @@ class TestCohensD:
         assert hi == pytest.approx(effect.d + 1.96 * math.sqrt(effect.var_d))
 
     @pytest.mark.parametrize("sd_c,sd_t,n_c,n_t", [
-        (0.0, 1.0, 10, 10), (1.0, -2.0, 10, 10), (1.0, 1.0, 1, 10)])
+        (0.0, 1.0, 10, 10), (1.0, -2.0, 10, 10), (1.0, 1.0, 1, 10),
+        (1e200, 1.0, 10, 10)])
     def test_input_validation(self, sd_c, sd_t, n_c, n_t):
         with pytest.raises(ValueError):
             cohens_d(0.0, sd_c, n_c, 1.0, sd_t, n_t)
