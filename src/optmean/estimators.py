@@ -11,6 +11,7 @@ are the rows of `SD_METHODS`, because the meta-analysis pipeline needs both.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -66,8 +67,9 @@ class FiveNumberSummary:
 
     def __post_init__(self):
         object.__setattr__(self, "scenario", Scenario.parse(self.scenario))
-        if int(self.n) != self.n or self.n < 5:
-            raise ValueError(f"sample size must be an integer >= 5, got {self.n!r}")
+        if int(self.n) != self.n or not 5 <= self.n <= sys.float_info.max:
+            raise ValueError(f"sample size must be an integer >= 5 that is "
+                             f"finite as a float, got {self.n!r}")
         wanted = FIELDS_BY_SCENARIO[self.scenario]
         for name in ("minimum", "q1", "median", "q3", "maximum"):
             value = getattr(self, name)

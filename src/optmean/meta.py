@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
+import sys
 from dataclasses import dataclass, fields
 from importlib import resources
 from typing import Optional, Sequence, Union
@@ -103,10 +104,11 @@ class StudyRecord:
     note: str = ""
 
     def __post_init__(self):
-        if self.n_cases < 2 or self.n_controls < 2:
+        if not (self.n_cases >= 2 and self.n_controls >= 2
+                and self.n_cases + self.n_controls <= sys.float_info.max):
             raise ValueError(
-                f"study {self.index}: arm sizes must be at least 2, got "
-                f"{self.n_cases}/{self.n_controls}"
+                f"study {self.index}: arm sizes must be at least 2 with a total "
+                f"that is finite as a float, got {self.n_cases}/{self.n_controls}"
             )
 
 
@@ -268,7 +270,9 @@ def pool_random_effects(effects: Sequence[StudyEffect]) -> MetaResult:
     effects = tuple(effects)
     het = heterogeneity(effects)
     sw = sum(e.weight for e in effects)
-    sww = sum(e.weight ** 2 for e in effects)
+    sww = sum(e.weight * e.weight for e in effects)
+    if not math.isfinite(sww):
+        raise ValueError(f"sum of squared study weights is not finite: {sww!r}")
     denom = sw - sww / sw
     tau2 = max(0.0, (het.q - het.df) / denom) if denom > 0 else 0.0
     star = [1.0 / (e.var_d + tau2) for e in effects]

@@ -5,12 +5,17 @@ on the quantities computed here: means and second moments of the five
 summary order statistics ``Z_(1) <= Z_(Q+1) <= Z_(2Q+1) <= Z_(3Q+1) <=
 Z_(n)`` of a standard-normal sample of size ``n = 4Q + 1``.
 
-Two backends are provided. ``moments_quadrature`` integrates the exact
-marginal and joint order-statistic densities with adaptive Gauss-Legendre
-panels and is the deterministic reference. ``moments_mc`` averages over
-sorted standard-normal samples drawn from counter-based streams, so its
-output is reproducible for a fixed ``(n, replicates, seed)`` regardless of
-how the replicates are chunked.
+Two backends are provided. ``moments_quadrature`` integrates one density
+with adaptive Gauss-Legendre panels and is the deterministic reference: the
+joint density of ranks r_1 < ... < r_k of n (k = 1 or 2) is n! / prod
+Gamma(g) * prod phi(x) * prod mass^(g - 1), with gaps g the differences of
+(0, r_1, ..., r_k, n + 1) and the Phi-masses below, between and above the
+points (David & Nagaraja, Order Statistics, 3rd ed., sec. 2.2). The end
+masses are ``log_ndtr(x_1)`` and ``log_ndtr(-x_k)``; a mass between
+neighbours is one erfc difference, mirrored to Phi(-x) - Phi(-y) when
+x + y > 0. ``moments_mc`` averages over sorted standard-normal samples drawn
+from counter-based streams, so its output is reproducible for a fixed ``(n,
+replicates, seed)`` regardless of how the replicates are chunked.
 
 The scalar ``normal_quantile`` serves the SD rules; bulk transforms of
 drawn uniforms use ``scipy.special.ndtri``, which agrees with it to ~2e-15.
@@ -20,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache, partial
 from typing import Mapping
 
 import numpy as np
@@ -221,11 +226,17 @@ class OrderStatMoments:
 
         These are the parts every weighted mean estimator combines, in
         sigma^2 = 1 units: L Sigma L' with Sigma the covariance of the five
-        summary ranks.
+        summary ranks. Built once per instance and handed out read-only.
         """
+        return self._summary_covariance
+
+    @cached_property
+    def _summary_covariance(self) -> np.ndarray:
         ranks = self.index_set.indices
         sigma = np.array([[self.cov(i, j) for j in ranks] for i in ranks])
-        return _SUMMARY_PARTS @ sigma @ _SUMMARY_PARTS.T
+        parts = _SUMMARY_PARTS @ sigma @ _SUMMARY_PARTS.T
+        parts.flags.writeable = False
+        return parts
 
 
 # Rows map the five summary ranks (a, q1, m, q3, b) to the estimator parts.
@@ -292,70 +303,58 @@ def _rank_support(i: int, n: int) -> tuple[float, float]:
     return max(float(lo), -10.0), min(float(hi), 10.0)
 
 
-def _log_pdf(x):
-    return -0.5 * x * x - math.log(_SQRT_2PI)
-
-
-def _log_cdf(x):
-    return np.log(0.5 * special.erfc(-x / _SQRT2))
-
-
-def _log_sf(x):
-    return np.log(0.5 * special.erfc(x / _SQRT2))
-
-
 def _cdf_gap(x, y):
-    """Phi(y) - Phi(x) for y >= x without cancellation in either tail."""
-    right = 0.5 * (special.erfc(x / _SQRT2) - special.erfc(y / _SQRT2))
-    left = 0.5 * (special.erfc(-y / _SQRT2) - special.erfc(-x / _SQRT2))
-    middle = 0.5 * (special.erf(y / _SQRT2) - special.erf(x / _SQRT2))
-    return np.where(x >= 0.0, right, np.where(y <= 0.0, left, middle))
+    """Phi(y) - Phi(x) for y >= x as one erfc difference per node.
+
+    A pair with x + y > 0 is mirrored, Phi(y) - Phi(x) = Phi(-x) - Phi(-y),
+    so the difference is always taken in the tail nearer the pair.
+    """
+    flip = x + y > 0.0
+    lo, hi = np.where(flip, x, -y), np.where(flip, y, -x)
+    return 0.5 * (special.erfc(lo / _SQRT2) - special.erfc(hi / _SQRT2))
 
 
-def _rank_moment_once(n: int, i: int, power: int, panels: int) -> float:
-    a, b = _rank_support(i, n)
-    x, w = _panel_grid(a, b, panels)
-    log_c = (special.gammaln(n + 1) - special.gammaln(i)
-             - special.gammaln(n - i + 1))
+def _log_density(n: int, ranks: tuple[int, ...], points):
+    """Log joint density of the order statistics ``ranks`` of n at ``points``.
+
+    log n! - sum log Gamma(g) + sum log phi(x) + sum (g - 1) log(mass), with
+    the gaps and masses of the module docstring; a gap of 1 adds no term.
+    """
+    gaps = np.diff((0, *ranks, n + 1))
+    log_f = special.gammaln(n + 1) - special.gammaln(gaps).sum()
+    for x in points:
+        log_f = log_f - (0.5 * x * x + math.log(_SQRT_2PI))
+    bounds = (None, *points, None)
     with np.errstate(divide="ignore"):
-        log_f = log_c + _log_pdf(x)
-        if i > 1:
-            log_f += (i - 1) * _log_cdf(x)
-        if n - i > 0:
-            log_f += (n - i) * _log_sf(x)
-    return float(np.sum(w * x ** power * np.exp(log_f)))
+        for gap, lo, hi in zip(gaps, bounds, bounds[1:]):
+            if gap == 1:
+                continue
+            if lo is None:
+                log_mass = special.log_ndtr(hi)
+            elif hi is None:
+                log_mass = special.log_ndtr(-lo)
+            else:
+                log_mass = np.log(_cdf_gap(lo, hi))
+            log_f = log_f + (gap - 1) * log_mass
+    return log_f
 
 
-def _rank_product_moment_once(n: int, i: int, j: int, panels: int) -> float:
-    ax, bx = _rank_support(i, n)
-    ay, by = _rank_support(j, n)
-    x, wx = _panel_grid(ax, bx, panels)
-    # inner integral runs over y in [max(x, ay), by]; map a fixed panel
-    # template affinely onto each outer node's interval
-    t, wt = _gl_unit()
-    edges = np.linspace(0.0, 1.0, panels + 1)
-    tt = (edges[:-1, None] + np.diff(edges)[:, None] * t[None, :]).ravel()
-    ww = (np.diff(edges)[:, None] * wt[None, :]).ravel()
+def _moment_once(n: int, ranks: tuple[int, ...], power: int, panels: int) -> float:
+    """E[Z_(i)^power] for ranks (i,), E[(Z_(i) Z_(j))^power] for (i, j)."""
+    x, w = _panel_grid(*_rank_support(ranks[0], n), panels)
+    if len(ranks) == 1:
+        return float(np.sum(w * x ** power * np.exp(_log_density(n, ranks, (x,)))))
+    # y runs over [max(x, ay), by], never empty as Z_(i)'s support ends at or
+    # below Z_(j)'s; the [0, 1] panel template is mapped onto each interval
+    ay, by = _rank_support(ranks[1], n)
+    t, wt = _panel_grid(0.0, 1.0, panels)
+    x = x[:, None]
     lo = np.maximum(x, ay)
     span = by - lo
-    keep = span > 0.0
-    if not keep.any():
-        return 0.0
-    xk = x[keep][:, None]
-    yk = lo[keep][:, None] + span[keep][:, None] * tt[None, :]
-    wy = span[keep][:, None] * ww[None, :]
-    log_c = (special.gammaln(n + 1) - special.gammaln(i)
-             - special.gammaln(j - i) - special.gammaln(n - j + 1))
-    with np.errstate(divide="ignore"):
-        log_f = log_c + _log_pdf(xk) + _log_pdf(yk)
-        if i > 1:
-            log_f = log_f + (i - 1) * _log_cdf(xk)
-        if j - i > 1:
-            log_f = log_f + (j - i - 1) * np.log(_cdf_gap(xk, yk))
-        if n - j > 0:
-            log_f = log_f + (n - j) * _log_sf(yk)
-    inner = np.sum(wy * xk * yk * np.exp(log_f), axis=1)
-    return float(np.sum(wx[keep] * inner))
+    y = lo + span * t
+    density = np.exp(_log_density(n, ranks, (x, y)))
+    inner = np.sum(span * wt * (x * y) ** power * density, axis=1)
+    return float(np.sum(w * inner))
 
 
 def _adaptive(evaluate) -> tuple[float, float]:
@@ -386,26 +385,19 @@ def moments_quadrature(n: int) -> OrderStatMoments:
         raise ValueError(
             f"quadrature backend supports n <= {MAX_QUADRATURE_SIZE}, got {n}"
         )
-    worst = 0.0
-    means = {}
-    second = {}
-    for i in idx.indices:
-        means[i], err = _adaptive(lambda p, i=i: _rank_moment_once(n, i, 1, p))
-        worst = max(worst, err)
-    for a_pos, i in enumerate(idx.indices):
-        for j in idx.indices[a_pos:]:
-            if i == j:
-                val, err = _adaptive(lambda p, i=i: _rank_moment_once(n, i, 2, p))
-            else:
-                val, err = _adaptive(
-                    lambda p, i=i, j=j: _rank_product_moment_once(n, i, j, p)
-                )
-            second[(i, j)] = val
-            worst = max(worst, err)
+
+    def integrate(ranks, power):
+        return _adaptive(partial(_moment_once, n, ranks, power))
+
+    ranks = idx.indices
+    means = {i: integrate((i,), 1) for i in ranks}
+    second = {(i, j): integrate((i,), 2) if i == j else integrate((i, j), 1)
+              for a, i in enumerate(ranks) for j in ranks[a:]}
+    worst = max(err for _, err in (*means.values(), *second.values()))
     return OrderStatMoments(
         n=n,
-        means=means,
-        second_moments=second,
+        means={i: value for i, (value, _) in means.items()},
+        second_moments={pair: value for pair, (value, _) in second.items()},
         backend="quadrature",
         std_error=max(worst, _QUAD_ERROR_FLOOR),
     )

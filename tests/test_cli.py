@@ -113,7 +113,9 @@ class TestEstimate:
         assert code == EXIT_DATA
 
     @pytest.mark.parametrize("flag,value", [("--median", "nan"), ("--max", "inf"),
-                                            ("--min", "-inf")])
+                                            ("--min", "-inf"),
+                                            pytest.param("--n", str(10**400),
+                                                         id="--n-10**400")])
     def test_non_finite_value_is_usage_error(self, flag, value, capsys):
         values = {"--min": "1", "--median": "2", "--max": "3", flag: value}
         argv = ["estimate", "--scenario", "s1", "--n", "25"]
@@ -164,6 +166,15 @@ class TestEstimate:
         assert code == EXIT_DATA
         assert out == ""
         assert "line 2" in err and "overflows" in err
+
+    def test_batch_sample_size_past_float_range_is_data_error(self, tmp_path,
+                                                              capsys):
+        src = tmp_path / "summaries.csv"
+        src.write_text(f"scenario,n,min,q1,median,q3,max\ns1,{10**400},1,,2,,3\n")
+        code, out, err = run_cli(["estimate", "--input", str(src)], capsys)
+        assert code == EXIT_DATA
+        assert out == ""
+        assert "line 2" in err and "finite as a float" in err
 
     def test_batch_json_format(self, tmp_path, capsys):
         src = tmp_path / "summaries.csv"
@@ -412,7 +423,10 @@ class TestMeta:
         "2,x,20,20,meanrange,10,-1e308,1.7e308,12,0,30,,,,,,",
         "2,x,20,20,meansd,1,1e200,2,1,,,,,,,,",
         "2,x,20,20,meanrange,1,-1e200,1e200,2,0,4,,,,,,",
-    ], ids=["meansd", "meanrange", "meansd-squared-sd", "meanrange-squared-sd"])
+        f"2,x,{10**400},20,meansd,1,1,1.5,1,,,,,,,,",
+        f"2,x,{10**308},{10**308},meansd,1,1,1.5,1,,,,,,,,",
+    ], ids=["meansd", "meanrange", "meansd-squared-sd", "meanrange-squared-sd",
+            "arm-size", "arm-size-total"])
     def test_overflowing_effect_is_data_error(self, row, tmp_path, capsys):
         src = tmp_path / "studies.csv"
         src.write_text("index,label,n_cases,n_controls,payload_type,"
@@ -422,6 +436,18 @@ class TestMeta:
         assert code == EXIT_DATA
         assert out == ""
         assert "study 2" in err and "finite" in err
+
+    def test_overflowing_pooled_weights_is_data_error(self, tmp_path, capsys):
+        # arm sizes of 1e170 give a study weight whose square overflows
+        src = tmp_path / "studies.csv"
+        src.write_text("index,label,n_cases,n_controls,payload_type,"
+                       "f01,f02,f03,f04,f05,f06,f07,f08,f09,f10,f11,note\n"
+                       f"1,a,{10**170},{10**170},meansd,1,1,2,1,,,,,,,,\n"
+                       "2,b,20,20,meansd,1,1,1.5,1,,,,,,,,\n")
+        code, out, err = run_cli(["meta", "--input", str(src)], capsys)
+        assert code == EXIT_DATA
+        assert out == ""
+        assert len(err.splitlines()) == 1 and "finite" in err
 
     @pytest.mark.parametrize("kind,names", [
         ("meansd", ("mean_cases", "sd_cases", "mean_controls", "sd_controls")),

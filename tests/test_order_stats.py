@@ -11,6 +11,7 @@ from optmean import _rng
 from optmean._rng import _words_to_uniforms, cell_sums, replicate_chunks, \
     replicate_uniforms, stream_key
 from optmean.errors import ScenarioError
+from optmean import order_stats
 from optmean.order_stats import (
     AsymptoticQuantileCov,
     OrderIndexSet,
@@ -259,6 +260,17 @@ class TestMomentsQuadrature:
         assert m.cov(idx.lower_quartile, idx.upper_quartile) == pytest.approx(
             quart_cov, rel=0.05)
 
+    def test_summary_covariance_is_built_once_and_read_only(self):
+        m = moments_quadrature(9)
+        cov = m.summary_covariance()
+        assert m.summary_covariance() is cov
+        with pytest.raises(ValueError):
+            cov[0, 0] = 0.0
+        ranks = m.index_set.indices
+        sigma = np.array([[m.cov(i, j) for j in ranks] for i in ranks])
+        parts = np.array([[0.5, 0, 0, 0, 0.5], [0, 0.5, 0, 0.5, 0], [0, 0, 1, 0, 0]])
+        assert np.array_equal(cov, parts @ sigma @ parts.T)
+
     def test_positive_second_moments_and_psd(self):
         for n in (5, 101):
             m = moments_quadrature(n)
@@ -266,6 +278,38 @@ class TestMomentsQuadrature:
                 assert m.second_moment(i, i) > 0
             eigvals = np.linalg.eigvalsh(m.summary_covariance())
             assert eigvals.min() >= -1e-10
+
+
+class TestOrderStatisticIdentities:
+    """Exact identities of normal order statistics (David & Nagaraja,
+    *Order Statistics*, 3rd ed.): for every rank i, sum_j E(Z_(i) Z_(j)) = 1;
+    sum_i E(Z_(i)^2) = n; sum_i E(Z_(i)) = 0. Every entry is integrated on
+    its own, so the sums check the quadrature kernel rank by rank."""
+
+    @staticmethod
+    def check(n, mean, product):
+        ranks = range(1, n + 1)
+        assert abs(sum(mean(i) for i in ranks)) <= 1e-10
+        assert abs(sum(product(i, i) for i in ranks) - n) <= 1e-10
+        for i in ranks:
+            assert abs(sum(product(i, j) for j in ranks) - 1.0) <= 1e-10
+
+    def test_all_ranks_of_five_through_moments_quadrature(self):
+        m = moments_quadrature(5)
+        assert m.index_set.indices == (1, 2, 3, 4, 5)
+        self.check(5, m.mean, m.second_moment)
+
+    @pytest.mark.parametrize("n", [9, 13])
+    def test_all_ranks_through_the_kernel(self, n):
+        def integrate(ranks, power):
+            return order_stats._adaptive(
+                lambda panels: order_stats._moment_once(n, ranks, power, panels))[0]
+
+        def product(i, j):
+            i, j = min(i, j), max(i, j)
+            return integrate((i,), 2) if i == j else integrate((i, j), 1)
+
+        self.check(n, lambda i: integrate((i,), 1), product)
 
 
 class TestUniformStreams:
