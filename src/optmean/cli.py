@@ -241,9 +241,13 @@ def _cmd_estimate(args) -> int:
 # weights
 
 def _moments(args, n: int):
-    if args.backend == "mc":
-        return moments_mc(n, args.reps, args.seed)
-    return moments_quadrature(n)
+    if args.backend != "mc":
+        return moments_quadrature(n)
+    # a batch repeats n; one main() call draws each (n, reps, seed) once
+    key = (n, args.reps, args.seed)
+    if key not in args.mc_moments:
+        args.mc_moments[key] = moments_mc(*key)
+    return args.mc_moments[key]
 
 
 def _weight_table_rows(args, scenario, grid):
@@ -505,6 +509,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    args.mc_moments = {}
     try:
         return args.func(args)
     except OSError as exc:

@@ -241,7 +241,9 @@ def odds_ratio_to_d(odds_ratio: float, ci: tuple[float, float],
 def heterogeneity(effects: Sequence[StudyEffect]) -> Heterogeneity:
     """Cochran's Q with its chi-square p-value and the I^2 index.
 
-    Q = sum(w d^2) - (sum(w d))^2 / sum(w) with w = 1/var_d; the p-value is
+    Q = sum(w (d - d_bar)^2) with w = 1/var_d and d_bar = sum(w d) / sum(w),
+    taken in two passes: the one-pass sum(w d^2) - (sum(w d))^2 / sum(w)
+    cancels to 0 once one study's weight dwarfs the rest. The p-value is
     the upper chi-square tail at k - 1 degrees of freedom, evaluated with
     the regularized incomplete gamma function; I^2 = max(0, (Q - df)/Q)
     expressed as a percentage.
@@ -249,11 +251,8 @@ def heterogeneity(effects: Sequence[StudyEffect]) -> Heterogeneity:
     effects = list(effects)
     if len(effects) < 2:
         raise ValueError("heterogeneity needs at least 2 studies")
-    sw = sum(e.weight for e in effects)
-    swd = sum(e.weight * e.d for e in effects)
-    swdd = sum(e.weight * e.d * e.d for e in effects)
-    q = swdd - swd * swd / sw
-    q = max(q, 0.0)
+    d_bar = sum(e.weight * e.d for e in effects) / sum(e.weight for e in effects)
+    q = sum(e.weight * (e.d - d_bar) * (e.d - d_bar) for e in effects)
     df = len(effects) - 1
     p = float(special.gammaincc(df / 2.0, q / 2.0))
     i2 = 100.0 * max(0.0, (q - df) / q) if q > 0 else 0.0
@@ -265,15 +264,21 @@ def pool_random_effects(effects: Sequence[StudyEffect]) -> MetaResult:
 
     tau^2 = max(0, (Q - df) / (sum(w) - sum(w^2)/sum(w))), studies are
     re-weighted by 1/(var_d + tau^2), and the 95% CI uses the normal
-    critical value on the pooled standard error.
+    critical value on the pooled standard error. The denominator is taken
+    as 2 sum_{i<j} w_i w_j / sum(w), which has no cancellation when one
+    study's weight dwarfs the rest; squared weights past the float range
+    are refused.
     """
     effects = tuple(effects)
     het = heterogeneity(effects)
-    sw = sum(e.weight for e in effects)
     sww = sum(e.weight * e.weight for e in effects)
     if not math.isfinite(sww):
         raise ValueError(f"sum of squared study weights is not finite: {sww!r}")
-    denom = sw - sww / sw
+    sw = cross = 0.0
+    for e in effects:
+        cross += e.weight * sw
+        sw += e.weight
+    denom = 2.0 * cross / sw
     tau2 = max(0.0, (het.q - het.df) / denom) if denom > 0 else 0.0
     star = [1.0 / (e.var_d + tau2) for e in effects]
     total = sum(star)

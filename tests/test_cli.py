@@ -100,6 +100,39 @@ class TestEstimate:
         assert float(rows[0]["value"]) == pytest.approx(20.471, abs=1e-3)
         assert float(rows[1]["value"]) == pytest.approx(2.0)
 
+    def test_batch_mc_moments_drawn_once_per_size(self, tmp_path, capsys,
+                                                  monkeypatch):
+        import optmean.cli
+        header = "scenario,n,min,q1,median,q3,max\n"
+        lines = ["s1,5,1,,3,,9", "s2,9,,2,3,5,", "s3,5,1,2,3,5,9",
+                 "s1,9,0,,4,,10", "s2,5,,1,2,4,", "s3,9,0,1,3,4,8"]
+        argv = ["--method", "optimal-exact", "--backend", "mc",
+                "--reps", "10000", "--seed", "3"]
+        calls = []
+        real = optmean.cli.moments_mc
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(optmean.cli, "moments_mc", counted)
+        src = tmp_path / "summaries.csv"
+        src.write_text(header + "\n".join(lines) + "\n")
+        code, out, _ = run_cli(["estimate", "--input", str(src), *argv], capsys)
+        assert code == EXIT_OK
+        assert sorted(calls) == [(5, 10000, 3), (9, 10000, 3)]
+        # each row on its own, so no run can share moments across rows
+        per_row = []
+        for line in lines:
+            src.write_text(header + line + "\n")
+            code, row_out, _ = run_cli(["estimate", "--input", str(src), *argv],
+                                       capsys)
+            assert code == EXIT_OK
+            per_row.append(row_out.splitlines()[-1])
+        # same input path, so the same comment and column header lines
+        assert out.splitlines() == row_out.splitlines()[:-1] + per_row
+        assert len(calls) == 2 + len(lines)
+
     def test_batch_mode_bad_row_is_data_error(self, tmp_path, capsys):
         src = tmp_path / "summaries.csv"
         src.write_text("scenario,n,min,q1,median,q3,max\ns1,40,9,,2,,74\n")
@@ -436,6 +469,19 @@ class TestMeta:
         assert code == EXIT_DATA
         assert out == ""
         assert "study 2" in err and "finite" in err
+
+    def test_dominant_study_keeps_heterogeneity(self, tmp_path, capsys):
+        # a weight ~1e16 times the other's cancels the one-pass Q to 0
+        src = tmp_path / "studies.csv"
+        src.write_text("index,label,n_cases,n_controls,payload_type,"
+                       "f01,f02,f03,f04,f05,f06,f07,f08,f09,f10,f11,note\n"
+                       f"1,a,{10**18},{10**18},meansd,1,1,2,1,,,,,,,,\n"
+                       "2,b,20,20,meansd,1,1,5,1,,,,,,,,\n")
+        code, out, _ = run_cli(["meta", "--input", str(src)], capsys)
+        assert code == EXIT_OK
+        stats = footer_stats(out)
+        assert float(stats["q"]) == pytest.approx(28.5, rel=1e-9)
+        assert float(stats["tau_squared"]) > 0
 
     def test_overflowing_pooled_weights_is_data_error(self, tmp_path, capsys):
         # arm sizes of 1e170 give a study weight whose square overflows

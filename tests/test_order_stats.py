@@ -279,6 +279,51 @@ class TestMomentsQuadrature:
             eigvals = np.linalg.eigvalsh(m.summary_covariance())
             assert eigvals.min() >= -1e-10
 
+    @pytest.mark.parametrize("n", [5, 389, 501])
+    def test_ladder_matches_finest_rung(self, n):
+        # the accepted rung must agree with a fixed 81-panel evaluation
+        m = moments_quadrature(n)
+        finest = 81
+        for i in m.index_set.indices:
+            ref = order_stats._moment_once(n, (i,), 1, finest)
+            assert abs(m.mean(i) - ref) <= 1e-10
+        for (i, j), value in m.second_moments.items():
+            ranks, power = ((i,), 2) if i == j else ((i, j), 1)
+            ref = order_stats._moment_once(n, ranks, power, finest)
+            assert abs(value - ref) <= 1e-10
+
+
+class TestCdfGap:
+    """``_cdf_gap(x, y)`` is Phi(y) - Phi(x), the mass between neighbours."""
+
+    @pytest.mark.parametrize("x,y", [
+        (-1.0, 0.5), (0.3, 2.0), (-2.0, -0.1), (-0.7, 0.7), (-3.0, 3.0),
+        (-9.0, -8.9), (8.9, 9.0), (-5.0, 5.0), (1.2, 1.3), (-1.3, -1.2)])
+    def test_against_mpmath(self, x, y):
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 50
+        want = mp.ncdf(mp.mpf(y)) - mp.ncdf(mp.mpf(x))
+        got = order_stats._cdf_gap(np.array([[x]]), np.array([[y]]))[0, 0]
+        assert abs(got - float(want)) <= 1e-13 * float(want)
+
+    @staticmethod
+    def grid():
+        x = np.linspace(-9.0, 9.0, 61)[:, None]
+        y = x + np.linspace(0.0, 6.0, 43)[None, :]
+        return x, y
+
+    def test_bit_equal_to_two_erfc_form(self):
+        x, y = self.grid()
+        flip = x + y > 0.0
+        lo, hi = np.where(flip, x, -y), np.where(flip, y, -x)
+        want = 0.5 * (special.erfc(lo / math.sqrt(2.0))
+                      - special.erfc(hi / math.sqrt(2.0)))
+        assert np.array_equal(order_stats._cdf_gap(x, y), want)
+
+    def test_mirror_is_bitwise(self):
+        x, y = self.grid()
+        assert np.array_equal(order_stats._cdf_gap(x, y), order_stats._cdf_gap(-y, -x))
+
 
 class TestOrderStatisticIdentities:
     """Exact identities of normal order statistics (David & Nagaraja,
