@@ -28,8 +28,8 @@ from .estimators import METHODS, SD_METHODS, SUMMARY_METHODS, Estimate, \
     FiveNumberSummary, estimate_mean, mean_weighted, sd_estimate
 from .meta import PROFILES, StudyConversionError, load_bundled_studies, \
     read_study_csv, run_case_study
-from .order_stats import MAX_QUADRATURE_SIZE, MIN_MC_REPLICATES, moments_mc, \
-    moments_quadrature
+from .order_stats import MAX_QUADRATURE_SIZE, MIN_MC_REPLICATES, SUMMARY_FIELDS, \
+    moments_mc, moments_quadrature
 from .simulation import SimulationConfig, DISTRIBUTION_KINDS, distribution, \
     run_rmse
 from .weights import Scenario, WeightSet, approx_weight, fit_power_law, \
@@ -54,7 +54,9 @@ def _fmt(value) -> str:
     if value is None:
         return ""
     if isinstance(value, float):
-        return format(value, ".10g")
+        # ten digits, unless they round past the float range and read back as inf
+        text = format(value, ".10g")
+        return text if abs(float(text)) <= sys.float_info.max else repr(value)
     return str(value)
 
 
@@ -146,14 +148,13 @@ def _check_backend(args, sizes=()):
 _MEAN_METHODS = tuple(m.replace("_", "-") for m in SUMMARY_METHODS) + ("weighted",)
 _SD_METHODS = tuple(f"{name}-sd" for name in SD_METHODS)
 
-_SUMMARY_COLUMNS = ("scenario", "n", "min", "q1", "median", "q3", "max")
+# the value flags and CSV columns, one per `SUMMARY_FIELDS` entry by position
+_VALUE_COLUMNS = ("min", "q1", "median", "q3", "max")
+_SUMMARY_COLUMNS = ("scenario", "n", *_VALUE_COLUMNS)
 
 
-def _summary_from_values(scenario, n, values: dict) -> FiveNumberSummary:
-    return FiveNumberSummary(
-        scenario=scenario, n=n, median=values.get("median"),
-        minimum=values.get("min"), q1=values.get("q1"),
-        q3=values.get("q3"), maximum=values.get("max"))
+def _summary_from_values(scenario, n, values) -> FiveNumberSummary:
+    return FiveNumberSummary(scenario=scenario, n=n, **dict(zip(SUMMARY_FIELDS, values)))
 
 
 def _run_estimate_method(args, summary: FiveNumberSummary) -> Estimate:
@@ -172,15 +173,9 @@ def _run_estimate_method(args, summary: FiveNumberSummary) -> Estimate:
 
 def _estimate_row(summary: FiveNumberSummary, estimate: Estimate) -> list:
     ws = estimate.weight_set
-    return [
-        summary.scenario.value, summary.n, summary.minimum, summary.q1,
-        summary.median, summary.q3, summary.maximum, estimate.method,
-        estimate.value,
-        None if ws is None else ws.w1,
-        None if ws is None else ws.w2,
-        None if ws is None else ws.median_weight,
-        None if ws is None else ws.source,
-    ]
+    return [summary.scenario.value, summary.n, *summary.values(), estimate.method,
+            estimate.value,
+            *((None,) * 4 if ws is None else (ws.w1, ws.w2, ws.median_weight, ws.source))]
 
 
 def _cmd_estimate(args) -> int:
@@ -201,11 +196,8 @@ def _cmd_estimate(args) -> int:
                         "summary CSV must have columns " + ",".join(_SUMMARY_COLUMNS))
                 for lineno, record in enumerate(reader, start=2):
                     try:
-                        values = {
-                            key: (float(record[key]) if (record.get(key) or "").strip()
-                                  else None)
-                            for key in ("min", "q1", "median", "q3", "max")
-                        }
+                        values = [float(record[key]) if (record.get(key) or "").strip()
+                                  else None for key in _VALUE_COLUMNS]
                         summary = _summary_from_values(
                             record["scenario"], int(record["n"]), values)
                         rows.append(_estimate_row(
@@ -221,8 +213,7 @@ def _cmd_estimate(args) -> int:
 
     if args.scenario is None or args.n is None:
         args.parser.error("--scenario and --n are required without --input")
-    values = {"min": args.min, "q1": args.q1, "median": args.median,
-              "q3": args.q3, "max": args.max}
+    values = [getattr(args, column) for column in _VALUE_COLUMNS]
     try:
         summary = _summary_from_values(args.scenario, args.n, values)
         estimate = _run_estimate_method(args, summary)
@@ -292,11 +283,9 @@ def _read_weight_table(path, scenario: Scenario):
         for record in csv.DictReader(lines, restval=""):
             if Scenario.parse(record["scenario"]) is not scenario:
                 continue
-            n = int(record["n"])
-            if scenario is Scenario.S3:
-                grid.append((n, float(record["exact_w1"]), float(record["exact_w2"])))
-            else:
-                grid.append((n, float(record["exact_w1"])))
+            # one weight per reported part but the median
+            grid.append((int(record["n"]), *(float(record[f"exact_w{k}"])
+                                             for k in range(1, len(scenario.parts)))))
     except KeyError as exc:
         raise ValueError(f"{path} is not a weight-table CSV: no column {exc}") from None
     if not grid:
@@ -445,11 +434,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("estimate", help="estimate a mean or SD from a summary")
     p.add_argument("--scenario", choices=("s1", "s2", "s3"))
     p.add_argument("--n", type=int)
-    p.add_argument("--min", type=float)
-    p.add_argument("--q1", type=float)
-    p.add_argument("--median", type=float)
-    p.add_argument("--q3", type=float)
-    p.add_argument("--max", type=float)
+    for column in _VALUE_COLUMNS:
+        p.add_argument(f"--{column}", type=float)
     p.add_argument("--method", choices=_MEAN_METHODS + _SD_METHODS,
                    default="optimal-approx")
     p.add_argument("--weight", type=float, help="w1 for --method weighted")
@@ -458,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="moment backend for --method optimal-exact")
     p.add_argument("--reps", type=int, default=DEFAULT_WEIGHT_REPS)
     p.add_argument("--input", default=None,
-                   help="batch mode: CSV of summaries (scenario,n,min,q1,median,q3,max)")
+                   help=f"batch mode: CSV of summaries ({','.join(_SUMMARY_COLUMNS)})")
     common(p)
     p.set_defaults(func=_cmd_estimate)
 
@@ -518,6 +504,10 @@ def main(argv=None) -> int:
         return EXIT_DATA
     except (NumericalError, ArithmeticError) as exc:
         print(f"optmean {args.command}: numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except MemoryError as exc:
+        # e.g. a sample size whose draws cannot be allocated
+        print(f"optmean {args.command}: out of memory: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 
 

@@ -11,12 +11,15 @@ are the rows of `SD_METHODS`, because the meta-analysis pipeline needs both.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
+from functools import reduce
 from typing import Callable, Optional
 
 from .errors import ScenarioError
-from .order_stats import OrderStatMoments, moments_quadrature, normal_quantile
+from .order_stats import SUMMARY_FIELDS, OrderStatMoments, _SUMMARY_PARTS, \
+    moments_quadrature, normal_quantile, summary_parts
 from .weights import Scenario, WeightSet, approx_weight, optimal_weights
 
 __all__ = [
@@ -41,10 +44,11 @@ __all__ = [
     "hozo_sd_from_range",
 ]
 
+# the summary fields whose values feed each scenario's parts
 FIELDS_BY_SCENARIO = {
-    Scenario.S1: ("minimum", "median", "maximum"),
-    Scenario.S2: ("q1", "median", "q3"),
-    Scenario.S3: ("minimum", "q1", "median", "q3", "maximum"),
+    scenario: tuple(name for name, used in zip(
+        SUMMARY_FIELDS, _SUMMARY_PARTS[scenario.parts].any(axis=0)) if used)
+    for scenario in Scenario
 }
 
 
@@ -52,9 +56,7 @@ FIELDS_BY_SCENARIO = {
 class FiveNumberSummary:
     """A study's reported summary fragment, in data units.
 
-    Only the fields belonging to the scenario may be present: S1 carries
-    (minimum, median, maximum), S2 carries (q1, median, q3), and S3 all
-    five. Present values must be ordered.
+    Exactly the scenario's `FIELDS_BY_SCENARIO` are present, in order.
     """
 
     scenario: Scenario
@@ -71,8 +73,7 @@ class FiveNumberSummary:
             raise ValueError(f"sample size must be an integer >= 5 that is "
                              f"finite as a float, got {self.n!r}")
         wanted = FIELDS_BY_SCENARIO[self.scenario]
-        for name in ("minimum", "q1", "median", "q3", "maximum"):
-            value = getattr(self, name)
+        for name, value in zip(SUMMARY_FIELDS, self.values()):
             if name in wanted and value is None:
                 raise ScenarioError(
                     f"scenario {self.scenario.value} requires field {name!r}"
@@ -87,27 +88,13 @@ class FiveNumberSummary:
         if any(lo > hi for lo, hi in zip(values, values[1:])):
             raise ValueError(f"summary values must be ordered, got {values}")
 
+    def values(self) -> tuple[Optional[float], ...]:
+        """The five values in `SUMMARY_FIELDS` order, None where absent."""
+        return tuple(getattr(self, name) for name in SUMMARY_FIELDS)
+
     def present_values(self) -> tuple[float, ...]:
         """The reported values in their natural order."""
-        return tuple(
-            getattr(self, name)
-            for name in ("minimum", "q1", "median", "q3", "maximum")
-            if getattr(self, name) is not None
-        )
-
-    @property
-    def mid_range(self) -> Optional[float]:
-        """(a + b)/2, or None when the fragment lacks the extremes."""
-        if self.minimum is None:
-            return None
-        return (self.minimum + self.maximum) / 2.0
-
-    @property
-    def mid_quartile(self) -> Optional[float]:
-        """(q1 + q3)/2, or None when the fragment lacks the quartiles."""
-        if self.q1 is None:
-            return None
-        return (self.q1 + self.q3) / 2.0
+        return tuple(v for v in self.values() if v is not None)
 
 
 @dataclass(frozen=True)
@@ -191,14 +178,12 @@ def lookup_method(name: str, scenario, table=METHODS):
 def combine(weights: WeightSet, mid_range, mid_quartile, median):
     """The weighted estimate from its parts, for floats and arrays alike.
 
+    The weighted parts of the scenario are added left to right, median last.
     A part the weights' scenario does not use is ignored and may be None.
     """
-    w1 = weights.w1
-    if weights.scenario is Scenario.S1:
-        return w1 * mid_range + (1.0 - w1) * median
-    if weights.scenario is Scenario.S2:
-        return w1 * mid_quartile + (1.0 - w1) * median
-    return w1 * mid_range + weights.w2 * mid_quartile + (1.0 - w1 - weights.w2) * median
+    parts = (mid_range, mid_quartile, median)
+    return reduce(operator.add, (w * parts[k] for w, k in
+                                 zip(weights.part_weights, weights.scenario.parts)))
 
 
 def mean_weighted(summary: FiveNumberSummary, weights: WeightSet,
@@ -213,7 +198,7 @@ def mean_weighted(summary: FiveNumberSummary, weights: WeightSet,
         raise ValueError(
             f"weight set is for n={weights.n} but the summary has n={summary.n}"
         )
-    value = combine(weights, summary.mid_range, summary.mid_quartile, summary.median)
+    value = combine(weights, *summary_parts(*summary.values()))
     return Estimate(value, method, weights)
 
 

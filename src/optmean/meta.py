@@ -26,6 +26,7 @@ from .estimators import (
     lookup_method,
     sd_estimate,
 )
+from .order_stats import SUMMARY_FIELDS
 
 __all__ = [
     "FiveNumberPayload",
@@ -203,6 +204,9 @@ def cohens_d(mean_cases: float, sd_cases: float, n_cases: int,
 
     d = (mean_controls - mean_cases) / s_pooled with
     s_pooled^2 = ((n_c - 1) sd_c^2 + (n_t - 1) sd_t^2) / (n_c + n_t - 2).
+    A pooled variance past the float range, or below the smallest normal
+    float (where its squares have lost precision or underflowed to 0), is
+    refused.
     """
     if not (0 < sd_cases < math.inf and 0 < sd_controls < math.inf):
         raise ValueError(f"standard deviations must be positive and finite, "
@@ -212,8 +216,8 @@ def cohens_d(mean_cases: float, sd_cases: float, n_cases: int,
     pooled_var = (((n_cases - 1) * (sd_cases * sd_cases)
                    + (n_controls - 1) * (sd_controls * sd_controls))
                   / (n_cases + n_controls - 2))
-    if not math.isfinite(pooled_var):
-        raise ValueError(f"pooled variance is not finite: {pooled_var!r}")
+    if not sys.float_info.min <= pooled_var < math.inf:
+        raise ValueError(f"pooled variance is not a finite normal float: {pooled_var!r}")
     d = (mean_controls - mean_cases) / math.sqrt(pooled_var)
     return StudyEffect(d=d, var_d=_smd_variance(d, n_cases, n_controls))
 
@@ -246,13 +250,15 @@ def heterogeneity(effects: Sequence[StudyEffect]) -> Heterogeneity:
     cancels to 0 once one study's weight dwarfs the rest. The p-value is
     the upper chi-square tail at k - 1 degrees of freedom, evaluated with
     the regularized incomplete gamma function; I^2 = max(0, (Q - df)/Q)
-    expressed as a percentage.
+    expressed as a percentage. A Q past the float range is refused.
     """
     effects = list(effects)
     if len(effects) < 2:
         raise ValueError("heterogeneity needs at least 2 studies")
     d_bar = sum(e.weight * e.d for e in effects) / sum(e.weight for e in effects)
     q = sum(e.weight * (e.d - d_bar) * (e.d - d_bar) for e in effects)
+    if not math.isfinite(q):
+        raise ValueError(f"Cochran's Q is not finite: {q!r}")
     df = len(effects) - 1
     p = float(special.gammaincc(df / 2.0, q / 2.0))
     i2 = 100.0 * max(0.0, (q - df) / q) if q > 0 else 0.0
@@ -398,13 +404,14 @@ def _parse_payload(row: dict, n_cases: int, n_controls: int) -> Payload:
     scenario = (f[0] or "").strip().lower()
     if not scenario:
         raise ValueError("fivenum payload needs a scenario in f01")
+    # each arm's five values by position in `SUMMARY_FIELDS`, from f02 and
+    # f07; every scenario reports the median
     return FiveNumberPayload(*(
-        FiveNumberSummary(
-            scenario=scenario, n=n,
-            minimum=_opt_float(f[k + 1]), q1=_opt_float(f[k + 2]),
-            median=_req_float(f[k + 3], f"{arm} median (f{k + 4:02d})"),
-            q3=_opt_float(f[k + 4]), maximum=_opt_float(f[k + 5]))
-        for k, arm, n in ((0, "cases", n_cases), (5, "controls", n_controls))))
+        FiveNumberSummary(scenario=scenario, n=n, **{
+            name: _req_float(raw, f"{arm} {name} (f{k:02d})") if name == "median"
+            else _opt_float(raw)
+            for k, name, raw in zip(range(first + 1, 12), SUMMARY_FIELDS, f[first:])})
+        for first, arm, n in ((1, "cases", n_cases), (6, "controls", n_controls))))
 
 
 def _parse_rows(reader: csv.DictReader) -> list[StudyRecord]:

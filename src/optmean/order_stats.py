@@ -35,6 +35,8 @@ from ._rng import cell_sums, replicate_chunks, stream_key
 from .errors import NumericalError, ScenarioError
 
 __all__ = [
+    "SUMMARY_FIELDS",
+    "summary_parts",
     "OrderIndexSet",
     "OrderStatMoments",
     "AsymptoticQuantileCov",
@@ -134,6 +136,18 @@ def normal_quantile(p: float) -> float:
 # ---------------------------------------------------------------------------
 # domain types
 
+# The five summary values, in the rank order of `OrderIndexSet.indices`.
+SUMMARY_FIELDS = ("minimum", "q1", "median", "q3", "maximum")
+
+
+def summary_parts(minimum, q1, median, q3, maximum):
+    """The estimator parts (mid-range, mid-quartile range, median) of the
+    five summary values, for floats and arrays alike; a part whose values
+    are absent (None) is None."""
+    return (None if minimum is None else (minimum + maximum) / 2.0,
+            None if q1 is None else (q1 + q3) / 2.0,
+            median)
+
 
 @dataclass(frozen=True)
 class OrderIndexSet:
@@ -156,25 +170,9 @@ class OrderIndexSet:
         q = self.q
         return (1, q + 1, 2 * q + 1, 3 * q + 1, self.n)
 
-    @property
-    def minimum(self) -> int:
-        return 1
-
-    @property
-    def lower_quartile(self) -> int:
-        return self.q + 1
-
-    @property
-    def median(self) -> int:
-        return 2 * self.q + 1
-
-    @property
-    def upper_quartile(self) -> int:
-        return 3 * self.q + 1
-
-    @property
-    def maximum(self) -> int:
-        return self.n
+    # each rank by name, read from `indices`
+    minimum, lower_quartile, median, upper_quartile, maximum = (
+        property(lambda self, k=k: self.indices[k]) for k in range(5))
 
 
 @dataclass(frozen=True)
@@ -242,11 +240,7 @@ class OrderStatMoments:
 
 
 # Rows map the five summary ranks (a, q1, m, q3, b) to the estimator parts.
-_SUMMARY_PARTS = np.array([
-    [0.5, 0.0, 0.0, 0.0, 0.5],
-    [0.0, 0.5, 0.0, 0.5, 0.0],
-    [0.0, 0.0, 1.0, 0.0, 0.0],
-])
+_SUMMARY_PARTS = np.array(summary_parts(*np.eye(5)))
 
 
 @dataclass(frozen=True)

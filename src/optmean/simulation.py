@@ -28,7 +28,8 @@ from scipy import special
 from ._rng import cell_sums, replicate_chunks, replicate_uniforms, stream_key
 from .estimators import FIELDS_BY_SCENARIO, METHODS, FiveNumberSummary, combine, \
     lookup_method
-from .order_stats import MAX_QUADRATURE_SIZE, OrderIndexSet
+from .order_stats import MAX_QUADRATURE_SIZE, SUMMARY_FIELDS, OrderIndexSet, \
+    summary_parts
 from .weights import Scenario
 
 __all__ = [
@@ -195,19 +196,17 @@ def draw_sample(spec: DistributionSpec, n: int, stream: ReplicateStream) -> np.n
 def summarize(sample, scenario) -> FiveNumberSummary:
     """Reduce a sorted sample of size 4Q + 1 to its scenario summary.
 
-    Uses the exact rank convention a = X_(1), q1 = X_(Q+1), m = X_(2Q+1),
-    q3 = X_(3Q+1), b = X_(n).
+    Uses the exact rank convention of `OrderIndexSet`: a = X_(1), q1 =
+    X_(Q+1), m = X_(2Q+1), q3 = X_(3Q+1), b = X_(n).
     """
     scenario = Scenario.parse(scenario)
     x = np.asarray(sample, dtype=np.float64)
     if x.ndim != 1:
         raise ValueError("sample must be one-dimensional")
-    idx = OrderIndexSet.from_size(x.size)
+    rank = dict(zip(SUMMARY_FIELDS, OrderIndexSet.from_size(x.size).indices))
     if np.any(np.diff(x) < 0):
         raise ValueError("sample must be sorted ascending")
-    q = idx.q
-    rank = {"minimum": 0, "q1": q, "median": 2 * q, "q3": 3 * q, "maximum": -1}
-    fields = {name: float(x[rank[name]]) for name in FIELDS_BY_SCENARIO[scenario]}
+    fields = {name: float(x[rank[name] - 1]) for name in FIELDS_BY_SCENARIO[scenario]}
     return FiveNumberSummary(scenario=scenario, n=int(x.size), **fields)
 
 
@@ -230,19 +229,17 @@ def run_rmse(config: SimulationConfig) -> RmseReport:
         # per-chunk cell sums of each method's squared errors; the control's
         # are the full-sample mean's, the ratios' common denominator
         chunk_cells = {method: [] for method in (CONTROL_METHOD, *config.methods)}
-        q = (n - 1) // 4
+        ranks = OrderIndexSet.from_size(n).indices
         for _, u in replicate_chunks(key, t, n):
             x = spec.quantile(u)
             sample_mean = x.mean(axis=1)
             x.sort(axis=1)
-            mid_range = 0.5 * (x[:, 0] + x[:, -1])
-            mid_quart = 0.5 * (x[:, q] + x[:, 3 * q])
-            median = x[:, 2 * q]
+            parts = summary_parts(*(x[:, i - 1] for i in ranks))
             for method, per_chunk in chunk_cells.items():
                 if method == CONTROL_METHOD:
                     err = sample_mean - mu
                 else:
-                    err = combine(weight_sets[method], mid_range, mid_quart, median) - mu
+                    err = combine(weight_sets[method], *parts) - mu
                 per_chunk.append(cell_sums(err * err))
         cells = {method: np.concatenate(c) for method, c in chunk_cells.items()}
         den_cells = cells[CONTROL_METHOD]

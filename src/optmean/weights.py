@@ -57,6 +57,19 @@ class Scenario(str, Enum):
         except ValueError:
             raise ScenarioError(f"unknown scenario {value!r}; expected s1, s2 or s3")
 
+    @property
+    def parts(self) -> list[int]:
+        """Positions in `order_stats.summary_parts` of the parts this
+        scenario reports; the last one is always the median."""
+        return _PARTS[self]
+
+
+_PARTS = {
+    Scenario.S1: [0, 2],
+    Scenario.S2: [1, 2],
+    Scenario.S3: [0, 1, 2],
+}
+
 
 @dataclass(frozen=True)
 class WeightSet:
@@ -85,11 +98,12 @@ class WeightSet:
                 raise ScenarioError("scenario s3 requires both w1 and w2")
         elif self.w2 is not None:
             raise ScenarioError(f"scenario {self.scenario.value} takes a single weight")
-        for value in (self.w1,) if self.w2 is None else (self.w1, self.w2):
+        *weights, median_weight = self.part_weights
+        for value in weights:
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"weights must lie in [0, 1], got {value!r}")
         # tiny slack for rounding at the simplex boundary w1 + w2 = 1
-        if self.median_weight < -1e-12:
+        if median_weight < -1e-12:
             raise ValueError("weights must leave a nonnegative share for the median")
 
     @property
@@ -103,20 +117,14 @@ class WeightSet:
     def median_weight(self) -> float:
         return 1.0 - self.w1 - (self.w2 or 0.0)
 
-
-# Positions in `OrderStatMoments.summary_covariance` of the estimator parts
-# (mid-range, mid-quartile range, median) each scenario reports; the last
-# one is always the median.
-_PARTS = {
-    Scenario.S1: [0, 2],
-    Scenario.S2: [1, 2],
-    Scenario.S3: [0, 1, 2],
-}
+    @property
+    def part_weights(self) -> tuple[float, ...]:
+        """The weights on ``scenario.parts``, in that order, median last."""
+        return (*(w for w in (self.w1, self.w2) if w is not None), self.median_weight)
 
 
 def _parts_covariance(moments: OrderStatMoments, scenario: Scenario) -> np.ndarray:
-    parts = _PARTS[scenario]
-    return moments.summary_covariance()[np.ix_(parts, parts)]
+    return moments.summary_covariance()[np.ix_(scenario.parts, scenario.parts)]
 
 
 def optimal_weights(moments: OrderStatMoments, scenario) -> WeightSet:
@@ -206,8 +214,7 @@ def weighted_mse(weights: WeightSet, moments: OrderStatMoments) -> float:
         raise ValueError(
             f"weight set is for n={weights.n} but moments are for n={moments.n}"
         )
-    w = np.array([v for v in (weights.w1, weights.w2) if v is not None]
-                 + [weights.median_weight])
+    w = np.array(weights.part_weights)
     return float(w @ _parts_covariance(moments, weights.scenario) @ w)
 
 

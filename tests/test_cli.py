@@ -6,7 +6,8 @@ import json
 
 import pytest
 
-from optmean.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, build_parser, main
+from optmean.cli import EXIT_DATA, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, build_parser, \
+    main
 from optmean.estimators import METHODS, SD_METHODS, SUMMARY_METHODS, \
     FiveNumberSummary, estimate_mean, sd_estimate
 from optmean.errors import ScenarioError
@@ -208,6 +209,16 @@ class TestEstimate:
         assert code == EXIT_DATA
         assert out == ""
         assert "line 2" in err and "finite as a float" in err
+
+    def test_value_near_float_max_reads_back_finite(self, capsys):
+        # ten digits of 1.7976931345e308 round to 1.797693135e308 > max
+        code, out, _ = run_cli([
+            "estimate", "--scenario", "s1", "--n", "41", "--min", "0",
+            "--median", "0", "--max", "1.7976931345e308", "--method", "hozo"], capsys)
+        assert code == EXIT_OK
+        row = parse_csv(out)[0]
+        assert float(row["max"]) == 1.7976931345e308
+        assert row["min"] == "0" and row["value"] == "0"
 
     def test_batch_json_format(self, tmp_path, capsys):
         src = tmp_path / "summaries.csv"
@@ -495,6 +506,32 @@ class TestMeta:
         assert out == ""
         assert len(err.splitlines()) == 1 and "finite" in err
 
+    def test_overflowing_heterogeneity_is_data_error(self, tmp_path, capsys):
+        # d = +-1e100 on arms of 4e307 give Q past the float range; it used
+        # to reach tau^2 = inf and a division by zero (exit 4)
+        arms = f"{4 * 10**307},{4 * 10**307}"
+        src = tmp_path / "studies.csv"
+        src.write_text("index,label,n_cases,n_controls,payload_type,"
+                       "f01,f02,f03,f04,f05,f06,f07,f08,f09,f10,f11,note\n"
+                       f"1,a,{arms},meansd,0,1,1e100,1,,,,,,,,\n"
+                       f"2,b,{arms},meansd,1e100,1,0,1,,,,,,,,\n")
+        code, out, err = run_cli(["meta", "--input", str(src)], capsys)
+        assert code == EXIT_DATA
+        assert out == ""
+        assert err == "optmean meta: input error: Cochran's Q is not finite: inf\n"
+
+    @pytest.mark.parametrize("sd", ["1e-160", "1e-300"])
+    def test_underflowing_pooled_variance_is_data_error(self, sd, tmp_path, capsys):
+        src = tmp_path / "studies.csv"
+        src.write_text("index,label,n_cases,n_controls,payload_type,"
+                       "f01,f02,f03,f04,f05,f06,f07,f08,f09,f10,f11,note\n"
+                       f"1,a,10,10,meansd,0,{sd},{sd},{sd},,,,,,,,\n"
+                       "2,b,20,20,meansd,1,1,1.5,1,,,,,,,,\n")
+        code, out, err = run_cli(["meta", "--input", str(src)], capsys)
+        assert code == EXIT_DATA
+        assert out == ""
+        assert "study 1" in err and "pooled variance" in err
+
     @pytest.mark.parametrize("kind,names", [
         ("meansd", ("mean_cases", "sd_cases", "mean_controls", "sd_controls")),
         ("or", ("odds_ratio", "ci_low", "ci_high")),
@@ -533,6 +570,29 @@ class TestMeta:
         assert code == EXIT_OK
         assert "# sd_method=wan" in out.splitlines()
         assert footer_stats(out)["pooled_d"] == format(want.pooled_d, ".10g")
+
+
+class TestUnallocatableSize:
+    """A sample size whose draws cannot be allocated is a numerical failure
+    (exit 4), reported in one stderr line. 4,000,000,000,001 values per
+    replicate ask for more than 2^48 bytes, so the request fails at once."""
+
+    N = "4000000000001"
+
+    @pytest.mark.parametrize("argv", [
+        ["weights", "--scenario", "s1", "--n", N, "--backend", "mc",
+         "--reps", "10000"],
+        ["estimate", "--scenario", "s1", "--n", N, "--min", "1", "--median", "2",
+         "--max", "3", "--method", "optimal-exact", "--backend", "mc"],
+        ["simulate", "--distribution", "normal", "--scenario", "s1",
+         "--grid", f"{N}:{N}:4", "--reps", "1000"],
+    ], ids=["weights", "estimate", "simulate"])
+    def test_exit_4(self, argv, capsys):
+        code, out, err = run_cli(argv, capsys)
+        assert code == EXIT_NUMERICAL
+        assert out == ""
+        assert err.startswith(f"optmean {argv[0]}: out of memory: ")
+        assert len(err.splitlines()) == 1
 
 
 class TestReproducibility:

@@ -10,6 +10,7 @@ from optmean.errors import ScenarioError
 from optmean.estimators import (
     SD_METHODS,
     FiveNumberSummary,
+    combine,
     hozo_sd_from_range,
     mean_bland,
     mean_hozo,
@@ -341,3 +342,77 @@ def _make(scenario, n, a, q1, m, q3, b):
         return FiveNumberSummary(scenario, n, median=m, q1=q1, q3=q3)
     return FiveNumberSummary(scenario, n, median=m, minimum=a, q1=q1, q3=q3,
                              maximum=b)
+
+
+# Finite extremes, signed zeros, subnormals and infinities for the
+# bit-level layout checks.
+EDGE_VALUES = (-math.inf, -1.7e308, -2.5, -5e-324, -0.0, 0.0, 1e-310, 3.0,
+               1.7e308, math.inf)
+
+
+def _bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.uint64)
+
+
+class TestSummaryLayout:
+    """`order_stats.SUMMARY_FIELDS`, `summary_parts` and `Scenario.parts` are
+    the one statement of the five-number layout; these checks hold its
+    derived tables and the `combine` fold to the forms written out."""
+
+    def test_summary_parts_matrix(self):
+        from optmean.order_stats import _SUMMARY_PARTS
+        assert _SUMMARY_PARTS.dtype == np.float64
+        assert _SUMMARY_PARTS.tolist() == [[0.5, 0.0, 0.0, 0.0, 0.5],
+                                           [0.0, 0.5, 0.0, 0.5, 0.0],
+                                           [0.0, 0.0, 1.0, 0.0, 0.0]]
+
+    def test_fields_by_scenario(self):
+        from optmean.estimators import FIELDS_BY_SCENARIO
+        assert FIELDS_BY_SCENARIO == {
+            Scenario.S1: ("minimum", "median", "maximum"),
+            Scenario.S2: ("q1", "median", "q3"),
+            Scenario.S3: ("minimum", "q1", "median", "q3", "maximum"),
+        }
+        assert all(type(name) is str
+                   for names in FIELDS_BY_SCENARIO.values() for name in names)
+
+    def test_summary_parts_written_out(self):
+        from optmean.order_stats import summary_parts
+        a, q1, m, q3, b = (np.array(v) for v in np.meshgrid(
+            EDGE_VALUES, EDGE_VALUES, 0.0, EDGE_VALUES, EDGE_VALUES))
+        with np.errstate(invalid="ignore", over="ignore"):
+            mid_range, mid_quart, median = summary_parts(a, q1, m, q3, b)
+            assert np.array_equal(_bits(mid_range), _bits(0.5 * (a + b)))
+            assert np.array_equal(_bits(mid_quart), _bits(0.5 * (q1 + q3)))
+        assert median is m
+        assert summary_parts(None, 1.0, 2.0, 3.0, None) == (None, 2.0, 2.0)
+        assert summary_parts(1.0, None, 2.0, None, 3.0) == (2.0, None, 2.0)
+
+    @pytest.mark.parametrize("weights", [
+        WeightSet(Scenario.S1, 9, 0.0), WeightSet(Scenario.S1, 9, 0.5),
+        WeightSet(Scenario.S1, 9, 1.0), approx_weight("s1", 41),
+        WeightSet(Scenario.S2, 9, 2.0 / 3.0), WeightSet(Scenario.S2, 9, 1e-320),
+        approx_weight("s2", 41),
+        WeightSet(Scenario.S3, 9, 0.25, 0.5), WeightSet(Scenario.S3, 9, 0.0, 1.0),
+        WeightSet(Scenario.S3, 9, 0.5, -0.0), approx_weight("s3", 41),
+    ], ids=lambda ws: f"{ws.scenario.value}-{ws.w1!r}-{ws.w2!r}")
+    def test_combine_written_out(self, weights):
+        w1, w2 = weights.w1, weights.w2
+        written_out = {
+            Scenario.S1: lambda r, q, m: w1 * r + (1.0 - w1) * m,
+            Scenario.S2: lambda r, q, m: w1 * q + (1.0 - w1) * m,
+            Scenario.S3: lambda r, q, m: w1 * r + w2 * q + (1.0 - w1 - w2) * m,
+        }[weights.scenario]
+        grid = [np.array(v) for v in np.meshgrid(EDGE_VALUES, EDGE_VALUES, EDGE_VALUES)]
+        with np.errstate(invalid="ignore", over="ignore"):
+            got, want = combine(weights, *grid), written_out(*grid)
+        assert np.array_equal(_bits(got), _bits(want))
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+        for r, q, m in zip(*(v.ravel()[::7].tolist() for v in grid)):
+            got, want = combine(weights, r, q, m), written_out(r, q, m)
+            assert type(got) is float
+            assert _bits(got) == _bits(want) and np.signbit(got) == np.signbit(want)
+
+    def test_combine_ignores_unreported_parts(self):
+        assert combine(WeightSet(Scenario.S1, 9, 0.5), 2.0, None, 4.0) == 3.0
+        assert combine(WeightSet(Scenario.S2, 9, 0.5), None, 2.0, 4.0) == 3.0

@@ -78,6 +78,17 @@ class TestCohensD:
         with pytest.raises(ValueError, match="finite"):
             cohens_d(10.0, math.inf, 20, 12.0, 8.0, 20)
 
+    @pytest.mark.parametrize("sd", [1e-160, 1e-300, 5e-324])
+    def test_underflowing_pooled_variance_refused(self, sd):
+        # the squares are subnormal (d would read 1.0000055664551362 for
+        # 1e-160, exactly 1 being right) or zero (division by zero)
+        with pytest.raises(ValueError, match="pooled variance"):
+            cohens_d(0.0, sd, 10, sd, sd, 10)
+
+    def test_smallest_normal_pooled_variance_kept(self):
+        sd = 2.0 ** -511  # sd^2 = 2^-1022, the smallest normal float
+        assert cohens_d(0.0, sd, 10, sd, sd, 10).d == 1.0
+
     @given(scale=st.floats(min_value=0.01, max_value=1000))
     @settings(max_examples=60)
     def test_scale_invariance(self, scale):
@@ -133,6 +144,13 @@ class TestHeterogeneity:
     def test_needs_two_studies(self):
         with pytest.raises(ValueError):
             heterogeneity([StudyEffect(d=0.4, var_d=0.05)])
+
+    def test_overflowing_q_refused(self):
+        # weights 1.6e108 on d = +-1e100: Q = 3.2e308 overflows
+        effects = [StudyEffect(d=1e100, var_d=6.25e-109),
+                   StudyEffect(d=-1e100, var_d=6.25e-109)]
+        with pytest.raises(ValueError, match="Q is not finite"):
+            heterogeneity(effects)
 
     def test_i_squared_identity(self):
         effects = [StudyEffect(d=d, var_d=v) for d, v in PUBLISHED_LEGACY]

@@ -1,0 +1,157 @@
+"""Refusal contract: any finite input gets a clean answer or a documented refusal.
+
+For generated `estimate` flag inputs (every method) and `meta` study rows of
+kinds meansd and or, `main` must not raise; it exits 0 with well-formed
+output holding no inf or nan, or exits 2 (usage) or 3 (input data) with its
+message on a line that starts with ``optmean `` (argparse puts its usage
+lines before it; a `meta` conversion error lists the studies after it, one
+indented line each).
+"""
+
+import csv
+import io
+import json
+import math
+import os
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from optmean.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, _MEAN_METHODS, _SD_METHODS, \
+    main
+from optmean.estimators import METHODS, SD_METHODS
+from optmean.weights import Scenario
+
+CONTRACT = settings(max_examples=60, derandomize=True, database=None, deadline=None)
+
+
+def mostly(usual, rare):
+    """Draw from ``usual`` three times in four and from ``rare`` otherwise."""
+    return st.integers(0, 3).flatmap(lambda k: usual if k else rare)
+
+
+# finite floats, mostly moderate, else anywhere in the float range including
+# its ends, subnormals and signed zeros
+FINITE = mostly(st.floats(min_value=-1e6, max_value=1e6), st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([1.7e308, -1.7e308, 5e-324, -5e-324, 2.2250738585072014e-308,
+                     1e-310, -0.0, 0.0])))
+SIZES = mostly(st.integers(min_value=5, max_value=10**6),
+               st.sampled_from([-2, 2, 4, 10**154, 10**308, 10**400]))
+WELL_FORMED = mostly(st.just(True), st.just(False))
+VALUE_FLAGS = ("--min", "--q1", "--median", "--q3", "--max")
+
+
+def run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _refuse_constant(name):
+    raise AssertionError(f"JSON output holds {name}")
+
+
+def check_contract(argv):
+    code, out, err = run(argv)
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_DATA), (argv, code, err)
+    if code != EXIT_OK:
+        assert out == ""
+        message = [line for line in err.splitlines() if not line.startswith(" ")]
+        assert message and message[-1].startswith("optmean "), (argv, err)
+        return
+    if "json" in argv:
+        json.loads(out, parse_constant=_refuse_constant)
+    else:
+        table = list(csv.reader(line for line in out.splitlines()
+                                if not line.startswith("#")))
+        assert len(table) >= 2 and all(len(row) == len(table[0]) for row in table)
+    for line in out.splitlines():
+        for token in line.replace("=", ",").replace(":", ",").split(","):
+            try:
+                value = float(token.strip().strip('"'))
+            except ValueError:
+                continue
+            assert math.isfinite(value), (argv, line)
+
+
+def _scenarios(method):
+    """The scenarios ``estimate --method`` applies to."""
+    if method.endswith("-sd"):
+        row = SD_METHODS[method.removesuffix("-sd")]
+    else:
+        row = METHODS.get(method.replace("-", "_"))  # None: weighted
+    return sorted(s.value for s in (Scenario if row is None else row.scenarios))
+
+
+@st.composite
+def estimate_argv(draw, method):
+    # mostly a scenario the method applies to, with its own fields in
+    # order, sometimes any scenario, any subset and any order
+    well_formed = draw(WELL_FORMED)
+    scenario = draw(st.sampled_from(_scenarios(method) if well_formed
+                                    else ["s1", "s2", "s3"]))
+    n = draw(st.sampled_from([5, 9, 13]) if method == "optimal-exact" else SIZES)
+    values = draw(st.lists(FINITE, min_size=5, max_size=5))
+    if draw(WELL_FORMED):
+        values.sort()
+    present = {"s1": (0, 2, 4), "s2": (1, 2, 3), "s3": range(5)}[scenario] \
+        if draw(WELL_FORMED) else [k for k in range(5) if draw(st.booleans())]
+    argv = ["estimate", "--scenario", scenario, "--n", str(n), "--method", method]
+    # FLAG=VALUE: after a space, argparse reads a value like -1e+300 as an option
+    argv += [f"{VALUE_FLAGS[k]}={values[k]!r}" for k in present]
+    if method == "weighted":
+        count = (2 if scenario == "s3" else 1) if well_formed else draw(st.integers(0, 2))
+        weights = draw(st.lists(mostly(st.floats(0.0, 0.5), FINITE),
+                                min_size=count, max_size=count))
+        argv += [f"{flag}={w!r}" for flag, w in zip(("--weight", "--w2"), weights)]
+    if method == "optimal-exact" and draw(st.booleans()):
+        argv += ["--backend", "mc", "--reps", "10000"]
+    return argv + ["--format", draw(st.sampled_from(["csv", "json"]))]
+
+
+@pytest.mark.parametrize("method", _MEAN_METHODS + _SD_METHODS)
+@CONTRACT
+@given(data=st.data())
+def test_estimate(method, data):
+    check_contract(data.draw(estimate_argv(method)))
+
+
+STUDY_HEADER = ("index,label,n_cases,n_controls,payload_type,"
+                "f01,f02,f03,f04,f05,f06,f07,f08,f09,f10,f11,note\n")
+
+
+@st.composite
+def study_rows(draw, kind):
+    width = {"meansd": 4, "or": 3}[kind]
+    rows = []
+    for index in range(1, draw(mostly(st.integers(2, 3), st.just(1))) + 1):
+        values = [draw(FINITE) for _ in range(width)]
+        if draw(WELL_FORMED):  # positive SDs, or positive and ordered OR bounds
+            if kind == "or":
+                values = [abs(values[0]), *sorted(map(abs, values[1:]))]
+            else:
+                values = [abs(v) if k % 2 else v for k, v in enumerate(values)]
+        values = [repr(v) for v in values]
+        n_cases, n_controls = draw(SIZES), draw(SIZES)
+        rows.append(",".join([str(index), f"s{index}", str(n_cases), str(n_controls),
+                              kind, *values, *[""] * (11 - width), ""]))
+    return rows
+
+
+@pytest.mark.parametrize("kind", ["meansd", "or"])
+@CONTRACT
+@given(data=st.data(), fmt=st.sampled_from(["csv", "json"]))
+def test_meta(kind, data, fmt):
+    rows = data.draw(study_rows(kind))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "studies.csv")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(STUDY_HEADER + "\n".join(rows) + "\n")
+        check_contract(["meta", "--input", path, "--format", fmt])
