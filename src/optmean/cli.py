@@ -18,6 +18,7 @@ import io
 import json
 import os
 import platform
+import re
 import sys
 
 import numpy
@@ -311,12 +312,8 @@ def _cmd_fit(args) -> int:
                              "reps": args.reps if args.backend == "mc" else None})
             rows = _weight_table_rows(args, scenario, grid_ns)
             grid = [(r[0], *(w for w in r[2:4] if w is not None)) for r in rows]
-    except (OSError, ValueError) as exc:
-        print(f"optmean fit: input error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    try:
         coeff = fit_power_law(grid, scenario)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"optmean fit: input error: {exc}", file=sys.stderr)
         return EXIT_DATA
     result = {"scenario": scenario.value, "model": coeff.model, "c1": coeff.c1,
@@ -415,8 +412,19 @@ def _cmd_meta(args) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
+class _Parser(argparse.ArgumentParser):
+    """Reads a negative number in any float syntax, -1e+300 included, as a
+    value after a space; argparse alone takes only -5 and -2.5 forms. Its
+    subparsers are of the same class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="optmean",
         description="Estimate sample means from five-number-summary fragments, "
                     "tabulate optimal weights, refit their approximations, run "

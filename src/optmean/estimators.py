@@ -264,10 +264,12 @@ def wan_sd_from_extremes(minimum: float, maximum: float, n: int) -> float:
     """Quantile-based SD estimate from the range: (b - a) / (2 z_n).
 
     z_n is the expected standardized position of the extremes,
-    normal_quantile((n - 0.375) / (n + 0.25)).
+    normal_quantile((n - 0.375) / (n + 0.25)), taken in the complement form
+    -normal_quantile(0.625 / (n + 0.25)): the upper-tail argument rounds
+    away its digits as n grows and reaches 1.0 from n ~ 1.6e16.
     """
     _check_sd_inputs(minimum, maximum, n)
-    return (maximum - minimum) / (2.0 * normal_quantile((n - 0.375) / (n + 0.25)))
+    return (maximum - minimum) / (-2.0 * normal_quantile(0.625 / (n + 0.25)))
 
 
 def wan_sd_from_quartiles(q1: float, q3: float, n: int) -> float:

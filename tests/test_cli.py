@@ -210,6 +210,37 @@ class TestEstimate:
         assert out == ""
         assert "line 2" in err and "finite as a float" in err
 
+    def test_negative_exponent_values_after_a_space(self, capsys):
+        code, out, _ = run_cli([
+            "estimate", "--scenario", "s1", "--n", "9", "--min", "-1e+300",
+            "--median", "-.5e2", "--max", "1e300", "--method", "wan-sd"], capsys)
+        assert code == EXIT_OK
+        row = parse_csv(out)[0]
+        assert (row["min"], row["median"]) == ("-1e+300", "-50")
+        # read as a value, so refused by the weight check, not by argparse
+        with pytest.raises(SystemExit) as excinfo:
+            main(["estimate", "--scenario", "s1", "--n", "9", "--min", "0",
+                  "--median", "1", "--max", "2", "--method", "weighted",
+                  "--weight", "-5e-324"])
+        assert excinfo.value.code == EXIT_USAGE
+        assert "weights must lie in [0, 1], got -5e-324" in capsys.readouterr().err
+
+    def test_option_like_value_is_still_refused(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["estimate", "--scenario", "s1", "--n", "9", "--min", "-x",
+                  "--median", "0", "--max", "1"])
+        assert excinfo.value.code == EXIT_USAGE
+        assert "expected one argument" in capsys.readouterr().err
+
+    def test_range_sd_where_its_quantile_argument_rounds_to_one(self, capsys):
+        # (n - 0.375) / (n + 0.25) is 1.0 as a float from n ~ 1.6e16
+        code, out, _ = run_cli([
+            "estimate", "--scenario", "s1", "--n", str(10**17), "--min", "0",
+            "--median", "1", "--max", "2", "--method", "wan-sd"], capsys)
+        assert code == EXIT_OK
+        assert float(parse_csv(out)[0]["value"]) == pytest.approx(0.1169834026,
+                                                                  abs=1e-10)
+
     def test_value_near_float_max_reads_back_finite(self, capsys):
         # ten digits of 1.7976931345e308 round to 1.797693135e308 > max
         code, out, _ = run_cli([

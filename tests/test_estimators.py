@@ -121,6 +121,17 @@ class TestWan:
             summary, WeightSet(Scenario.S2, 17, 2.0 / 3.0, source="legacy"))
         assert mean_wan_s2(summary).value == via_weights.value
 
+    @pytest.mark.parametrize("n", [40, 10**9, 10**12, 10**17])
+    def test_range_rule_against_mpmath(self, n):
+        # 1 / (2 z), z = Phi^-1((n - 0.375) / (n + 0.25)) in exact arithmetic;
+        # from n ~ 1.6e16 that argument rounds to 1.0 as a float
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(60):
+            p = (mp.mpf(n) - mp.mpf(3) / 8) / (mp.mpf(n) + mp.mpf(1) / 4)
+            want = float(1 / (2 * mp.sqrt(2) * mp.erfinv(2 * p - 1)))
+        assert wan_sd_from_extremes(0.0, 1.0, n) == pytest.approx(want, rel=1e-14,
+                                                                  abs=0)
+
 
 class TestBland:
     def test_symmetric_summary(self):

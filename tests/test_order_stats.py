@@ -89,6 +89,16 @@ class TestNormalQuantile:
         with pytest.raises(ValueError):
             normal_quantile(p)
 
+    def test_is_scipy_ndtri_bitwise(self):
+        # the SD rules' arguments (range, its complement, quartile) for
+        # n = 5..501, and the ends of the open interval
+        ns = np.arange(5, 502)
+        p = np.concatenate([(ns - 0.375) / (ns + 0.25), 0.625 / (ns + 0.25),
+                            (0.75 * ns - 0.125) / (ns + 0.25),
+                            [5e-324, 1e-300, 0.5, 1 - 2.0**-53]])
+        for pi, zi in zip(p.tolist(), special.ndtri(p).tolist()):
+            assert normal_quantile(pi) == zi, pi
+
     def test_vectorized_matches_scalar(self):
         p = np.concatenate([
             np.geomspace(1e-9, 0.4, 50), 1 - np.geomspace(1e-9, 0.4, 50), [0.5]])

@@ -1,11 +1,13 @@
 """Refusal contract: any finite input gets a clean answer or a documented refusal.
 
 For generated `estimate` flag inputs (every method) and `meta` study rows of
-kinds meansd and or, `main` must not raise; it exits 0 with well-formed
-output holding no inf or nan, or exits 2 (usage) or 3 (input data) with its
-message on a line that starts with ``optmean `` (argparse puts its usage
-lines before it; a `meta` conversion error lists the studies after it, one
-indented line each).
+every payload kind (fivenum and meanrange under both profiles), `main` must
+not raise; it exits 0 with well-formed output holding no inf or nan, or
+exits 2 (usage) or 3 (input data) with its message on a line that starts
+with ``optmean `` (argparse puts its usage lines before it; a `meta`
+conversion error lists the studies after it, one indented line each). An
+`estimate` run answers the same whether a value follows its flag after
+``=`` or after a space.
 """
 
 import csv
@@ -22,6 +24,7 @@ from hypothesis import given, settings, strategies as st
 from optmean.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, _MEAN_METHODS, _SD_METHODS, \
     main
 from optmean.estimators import METHODS, SD_METHODS
+from optmean.meta import PROFILES
 from optmean.weights import Scenario
 
 CONTRACT = settings(max_examples=60, derandomize=True, database=None, deadline=None)
@@ -42,6 +45,8 @@ SIZES = mostly(st.integers(min_value=5, max_value=10**6),
                st.sampled_from([-2, 2, 4, 10**154, 10**308, 10**400]))
 WELL_FORMED = mostly(st.just(True), st.just(False))
 VALUE_FLAGS = ("--min", "--q1", "--median", "--q3", "--max")
+# the positions of the summary values each scenario reports
+SCENARIO_FIELDS = {"s1": (0, 2, 4), "s2": (1, 2, 3), "s3": range(5)}
 
 
 def run(argv):
@@ -59,13 +64,14 @@ def _refuse_constant(name):
 
 
 def check_contract(argv):
+    """Run ``argv`` under the contract; returns its exit code and stdout."""
     code, out, err = run(argv)
     assert code in (EXIT_OK, EXIT_USAGE, EXIT_DATA), (argv, code, err)
     if code != EXIT_OK:
         assert out == ""
         message = [line for line in err.splitlines() if not line.startswith(" ")]
         assert message and message[-1].startswith("optmean "), (argv, err)
-        return
+        return code, out
     if "json" in argv:
         json.loads(out, parse_constant=_refuse_constant)
     else:
@@ -79,6 +85,7 @@ def check_contract(argv):
             except ValueError:
                 continue
             assert math.isfinite(value), (argv, line)
+    return code, out
 
 
 def _scenarios(method):
@@ -101,10 +108,9 @@ def estimate_argv(draw, method):
     values = draw(st.lists(FINITE, min_size=5, max_size=5))
     if draw(WELL_FORMED):
         values.sort()
-    present = {"s1": (0, 2, 4), "s2": (1, 2, 3), "s3": range(5)}[scenario] \
-        if draw(WELL_FORMED) else [k for k in range(5) if draw(st.booleans())]
+    present = SCENARIO_FIELDS[scenario] if draw(WELL_FORMED) \
+        else [k for k in range(5) if draw(st.booleans())]
     argv = ["estimate", "--scenario", scenario, "--n", str(n), "--method", method]
-    # FLAG=VALUE: after a space, argparse reads a value like -1e+300 as an option
     argv += [f"{VALUE_FLAGS[k]}={values[k]!r}" for k in present]
     if method == "weighted":
         count = (2 if scenario == "s3" else 1) if well_formed else draw(st.integers(0, 2))
@@ -120,38 +126,86 @@ def estimate_argv(draw, method):
 @CONTRACT
 @given(data=st.data())
 def test_estimate(method, data):
-    check_contract(data.draw(estimate_argv(method)))
+    argv = data.draw(estimate_argv(method))
+    result = check_contract(argv)
+    # a negative value such as -1e+300 after a space is a value, not an option
+    spaced = [part for arg in argv for part in arg.split("=", 1)]
+    assert run(spaced)[:2] == result, (argv, spaced)
 
 
 STUDY_HEADER = ("index,label,n_cases,n_controls,payload_type,"
                 "f01,f02,f03,f04,f05,f06,f07,f08,f09,f10,f11,note\n")
 
 
+def _profile_scenarios(profile):
+    """The scenarios both of a `meta` profile's estimators apply to."""
+    mean_method, sd_method = PROFILES[profile]
+    return sorted(s.value for s in
+                  METHODS[mean_method].scenarios & SD_METHODS[sd_method].scenarios)
+
+
 @st.composite
-def study_rows(draw, kind):
-    width = {"meansd": 4, "or": 3}[kind]
+def study_fields(draw, kind, profile):
+    """One study's f-columns of payload ``kind``, mostly well-formed (for
+    ``profile``'s estimators)."""
+    if kind == "fivenum":
+        # a scenario and two arms of five values, as `estimate_argv` draws them
+        well_formed = draw(WELL_FORMED)
+        scenario = draw(st.sampled_from(_profile_scenarios(profile) if well_formed
+                                        else ["s1", "s2", "s3"]))
+        present = SCENARIO_FIELDS[scenario] if draw(WELL_FORMED) \
+            else [k for k in range(5) if draw(st.booleans())]
+        arms = [draw(st.lists(FINITE, min_size=5, max_size=5)) for _ in range(2)]
+        if draw(WELL_FORMED):
+            arms = [sorted(arm) for arm in arms]
+        return [scenario, *(repr(v) if k in present else ""
+                            for arm in arms for k, v in enumerate(arm))]
+    width = {"meansd": 4, "or": 3, "meanrange": 6}[kind]
+    values = [draw(FINITE) for _ in range(width)]
+    if draw(WELL_FORMED):  # positive SDs, positive and ordered OR bounds, or
+        # each arm's mean inside its range
+        if kind == "or":
+            values = [abs(values[0]), *sorted(map(abs, values[1:]))]
+        elif kind == "meansd":
+            values = [abs(v) if k % 2 else v for k, v in enumerate(values)]
+        else:
+            values = [v for arm in (values[:3], values[3:])
+                      for v in (sorted(arm)[1], min(arm), max(arm))]
+    return [repr(v) for v in values]
+
+
+@st.composite
+def study_rows(draw, kind, profile="table3"):
     rows = []
     for index in range(1, draw(mostly(st.integers(2, 3), st.just(1))) + 1):
-        values = [draw(FINITE) for _ in range(width)]
-        if draw(WELL_FORMED):  # positive SDs, or positive and ordered OR bounds
-            if kind == "or":
-                values = [abs(values[0]), *sorted(map(abs, values[1:]))]
-            else:
-                values = [abs(v) if k % 2 else v for k, v in enumerate(values)]
-        values = [repr(v) for v in values]
-        n_cases, n_controls = draw(SIZES), draw(SIZES)
+        values = draw(study_fields(kind, profile))
+        # a range alone gives a Hozo SD only above n = 15
+        sizes = mostly(st.integers(16, 10**6), SIZES) if kind == "meanrange" else SIZES
+        n_cases, n_controls = draw(sizes), draw(sizes)
         rows.append(",".join([str(index), f"s{index}", str(n_cases), str(n_controls),
-                              kind, *values, *[""] * (11 - width), ""]))
+                              kind, *values, *[""] * (11 - len(values)), ""]))
     return rows
+
+
+def check_meta(rows, options):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "studies.csv")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(STUDY_HEADER + "\n".join(rows) + "\n")
+        return check_contract(["meta", "--input", path, *options])
 
 
 @pytest.mark.parametrize("kind", ["meansd", "or"])
 @CONTRACT
 @given(data=st.data(), fmt=st.sampled_from(["csv", "json"]))
 def test_meta(kind, data, fmt):
-    rows = data.draw(study_rows(kind))
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "studies.csv")
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(STUDY_HEADER + "\n".join(rows) + "\n")
-        check_contract(["meta", "--input", path, "--format", fmt])
+    check_meta(data.draw(study_rows(kind)), ["--format", fmt])
+
+
+@pytest.mark.parametrize("profile", sorted(PROFILES))
+@pytest.mark.parametrize("kind", ["fivenum", "meanrange"])
+@CONTRACT
+@given(data=st.data(), fmt=st.sampled_from(["csv", "json"]))
+def test_meta_summaries(kind, profile, data, fmt):
+    check_meta(data.draw(study_rows(kind, profile)),
+               ["--profile", profile, "--format", fmt])
