@@ -10,6 +10,10 @@ or parallelised any way at all and the streams do not move.
 `replicate_chunks` draws replicates in chunks of whole `CELL`-replicate
 cells and `cell_sums` reduces a chunk per cell, so a total built from the
 cells keeps its floating-point accumulation order under any chunking.
+
+A window starts in the first 64-bit counter word, and a start past 2**64
+wraps onto replicate 0's window, so a run may span at most `MAX_COUNTERS`
+counters; a longer one is refused before any draw.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ CELL = 512
 CHUNK = 16 * CELL
 
 _U64 = np.uint64
+MAX_COUNTERS = 2 ** 63
 
 
 def stream_key(*parts) -> tuple[int, int]:
@@ -41,6 +46,15 @@ def stream_key(*parts) -> tuple[int, int]:
     )
 
 
+def _counters_per_replicate(replicates: int, draws: int) -> int:
+    """Philox counters (4 words each) per window; refuses runs past `MAX_COUNTERS`."""
+    counters = -(-draws // 4)
+    if replicates * counters > MAX_COUNTERS:
+        raise ValueError(f"{replicates} replicates of {draws} draws span more than "
+                         "the 2**63 Philox counters of one stream")
+    return counters
+
+
 def replicate_uniforms(key: tuple[int, int], first: int, count: int,
                        draws: int) -> np.ndarray:
     """Uniform(0, 1) variates for replicates ``first .. first+count-1``.
@@ -54,11 +68,9 @@ def replicate_uniforms(key: tuple[int, int], first: int, count: int,
     """
     if draws <= 0 or count <= 0:
         raise ValueError("count and draws must be positive")
-    words_per_rep = -(-draws // 4) * 4
-    counters_per_rep = words_per_rep // 4
-    start = first * counters_per_rep
-    bg = Philox(counter=[start, 0, 0, 0], key=list(key))
-    raw = bg.random_raw(count * words_per_rep).reshape(count, words_per_rep)
+    counters = _counters_per_replicate(first + count, draws)
+    bg = Philox(counter=[first * counters, 0, 0, 0], key=list(key))
+    raw = bg.random_raw(count * counters * 4).reshape(count, -1)
     return _words_to_uniforms(raw[:, :draws])
 
 
@@ -80,6 +92,7 @@ def replicate_chunks(key: tuple[int, int], total: int, draws: int):
     """Yield ``(first, u)`` with the `replicate_uniforms` rows of replicates
     ``first ..`` for ``0 .. total-1``, `CHUNK` (a whole number of cells) at a time.
     """
+    _counters_per_replicate(total, draws)
     for first in range(0, total, CHUNK):
         yield first, replicate_uniforms(key, first, min(CHUNK, total - first), draws)
 

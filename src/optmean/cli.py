@@ -6,13 +6,15 @@ lines or a JSON config block, so any result can be regenerated from its
 own header. Runs with the same flags and seed produce byte-identical
 output.
 
-Exit codes: 0 success, 2 usage error, 3 input-data error, 4 numerical
-failure.
+Exit codes follow where a refused value came from: 0 success, 2 a flag
+(usage error), 3 an ``--input`` file or the output, 4 a numerical failure
+or an unallocatable draw. `main` alone maps an exception to its code.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -24,11 +26,10 @@ import sys
 import numpy
 import scipy
 
-from .errors import NumericalError, ScenarioError
+from .errors import FitConvergenceError, NumericalError
 from .estimators import METHODS, SD_METHODS, SUMMARY_METHODS, Estimate, \
     FiveNumberSummary, estimate_mean, mean_weighted, sd_estimate
-from .meta import PROFILES, StudyConversionError, load_bundled_studies, \
-    read_study_csv, run_case_study
+from .meta import PROFILES, load_bundled_studies, read_study_csv, run_case_study
 from .order_stats import MAX_QUADRATURE_SIZE, MIN_MC_REPLICATES, SUMMARY_FIELDS, \
     moments_mc, moments_quadrature
 from .simulation import SimulationConfig, DISTRIBUTION_KINDS, distribution, \
@@ -79,7 +80,27 @@ def _parse_grid(text: str) -> tuple[int, ...]:
     start, stop, step = (int(p) for p in parts)
     if step <= 0 or stop < start:
         raise ValueError(f"bad grid {text!r}")
+    if (stop - start) // step >= sys.maxsize:
+        raise ValueError(f"grid {text!r} has more than {sys.maxsize} sizes")
     return tuple(range(start, stop + 1, step))
+
+
+# what reading or using an --input file may raise on a refused value; a power
+# law that does not converge on a read weight table is the table's fault
+_INPUT_ERRORS = (OSError, ValueError, ArithmeticError, FitConvergenceError)
+
+
+class _InputError(Exception):
+    """A refused value that came from an ``--input`` file (exit 3)."""
+
+
+@contextlib.contextmanager
+def _reading():
+    """Mark an `_INPUT_ERRORS` exception raised inside as an `_InputError`."""
+    try:
+        yield
+    except _INPUT_ERRORS as exc:
+        raise _InputError(exc) from exc
 
 
 def _write_output(path, text: str):
@@ -132,15 +153,13 @@ def _emit_rows(args, command, settings, fieldnames, rows):
 def _check_backend(args, sizes=()):
     """Refuse sizes and replicate counts the moment backend cannot serve."""
     if args.backend == "mc" and args.reps < MIN_MC_REPLICATES:
-        args.parser.error(
+        raise ValueError(
             f"--backend mc needs --reps >= {MIN_MC_REPLICATES}, got {args.reps}")
     for n in sizes:
         if n < 5 or n % 4 != 1:
-            args.parser.error(
-                f"exact weights need sample sizes of the form 4Q+1, got {n}")
+            raise ValueError(f"exact weights need sample sizes of the form 4Q+1, got {n}")
         if args.backend == "quad" and n > MAX_QUADRATURE_SIZE:
-            args.parser.error(
-                f"--backend quad supports n <= {MAX_QUADRATURE_SIZE}, got {n}")
+            raise ValueError(f"--backend quad supports n <= {MAX_QUADRATURE_SIZE}, got {n}")
 
 
 # ---------------------------------------------------------------------------
@@ -187,40 +206,32 @@ def _cmd_estimate(args) -> int:
     if args.method == "optimal-exact":
         _check_backend(args)
     if args.input is not None:
-        try:
-            rows = []
-            with open(args.input, "r", encoding="utf-8", newline="") as handle:
-                reader = csv.DictReader(handle)
-                if reader.fieldnames is None or \
-                        tuple(reader.fieldnames[:7]) != _SUMMARY_COLUMNS:
-                    raise ValueError(
-                        "summary CSV must have columns " + ",".join(_SUMMARY_COLUMNS))
-                for lineno, record in enumerate(reader, start=2):
-                    try:
-                        values = [float(record[key]) if (record.get(key) or "").strip()
-                                  else None for key in _VALUE_COLUMNS]
-                        summary = _summary_from_values(
-                            record["scenario"], int(record["n"]), values)
-                        rows.append(_estimate_row(
-                            summary, _run_estimate_method(args, summary)))
-                    except (ValueError, ScenarioError) as exc:
-                        raise ValueError(f"line {lineno}: {exc}") from exc
-        except (OSError, ValueError, ScenarioError) as exc:
-            print(f"optmean estimate: input error: {exc}", file=sys.stderr)
-            return EXIT_DATA
+        rows = []
+        with _reading(), open(args.input, "r", encoding="utf-8", newline="") as handle:
+            reader = csv.DictReader(handle)
+            if reader.fieldnames is None or \
+                    tuple(reader.fieldnames[:7]) != _SUMMARY_COLUMNS:
+                raise ValueError(
+                    "summary CSV must have columns " + ",".join(_SUMMARY_COLUMNS))
+            for lineno, record in enumerate(reader, start=2):
+                try:
+                    values = [float(record[key]) if (record.get(key) or "").strip()
+                              else None for key in _VALUE_COLUMNS]
+                    summary = _summary_from_values(
+                        record["scenario"], int(record["n"]), values)
+                    rows.append(_estimate_row(
+                        summary, _run_estimate_method(args, summary)))
+                except _INPUT_ERRORS as exc:
+                    raise ValueError(f"line {lineno}: {exc}") from exc
         settings["input"] = args.input
         _emit_rows(args, "estimate", settings, out_fields, rows)
         return EXIT_OK
 
     if args.scenario is None or args.n is None:
-        args.parser.error("--scenario and --n are required without --input")
+        raise ValueError("--scenario and --n are required without --input")
     values = [getattr(args, column) for column in _VALUE_COLUMNS]
-    try:
-        summary = _summary_from_values(args.scenario, args.n, values)
-        estimate = _run_estimate_method(args, summary)
-    except (ValueError, ScenarioError) as exc:
-        args.parser.error(str(exc))
-    row = _estimate_row(summary, estimate)
+    summary = _summary_from_values(args.scenario, args.n, values)
+    row = _estimate_row(summary, _run_estimate_method(args, summary))
     if args.format == "json":
         _emit_json(args.output, "estimate", settings,
                    {"result": dict(zip(out_fields, row))})
@@ -260,11 +271,8 @@ _WEIGHT_FIELDS = ("n", "scenario", "exact_w1", "exact_w2", "approx_w1",
 def _cmd_weights(args) -> int:
     scenario = Scenario.parse(args.scenario)
     if (args.n is None) == (args.grid is None):
-        args.parser.error("give exactly one of --n or --grid")
-    try:
-        grid = (args.n,) if args.n is not None else _parse_grid(args.grid)
-    except ValueError as exc:
-        args.parser.error(str(exc))
+        raise ValueError("give exactly one of --n or --grid")
+    grid = (args.n,) if args.n is not None else _parse_grid(args.grid)
     _check_backend(args, grid)
     settings = {"scenario": scenario.value, "backend": args.backend,
                 "seed": args.seed, "reps": args.reps if args.backend == "mc" else None}
@@ -297,25 +305,19 @@ def _read_weight_table(path, scenario: Scenario):
 def _cmd_fit(args) -> int:
     scenario = Scenario.parse(args.scenario)
     settings = {"scenario": scenario.value, "seed": args.seed}
-    if args.input is None:
-        try:
-            grid_ns = _parse_grid(args.grid)
-        except ValueError as exc:
-            args.parser.error(str(exc))
-        _check_backend(args, grid_ns)
-    try:
-        if args.input is not None:
-            settings["input"] = args.input
+    if args.input is not None:
+        settings["input"] = args.input
+        with _reading():
             grid = _read_weight_table(args.input, scenario)
-        else:
-            settings.update({"backend": args.backend, "grid": args.grid,
-                             "reps": args.reps if args.backend == "mc" else None})
-            rows = _weight_table_rows(args, scenario, grid_ns)
-            grid = [(r[0], *(w for w in r[2:4] if w is not None)) for r in rows]
+            coeff = fit_power_law(grid, scenario)
+    else:
+        grid_ns = _parse_grid(args.grid)
+        _check_backend(args, grid_ns)
+        settings.update({"backend": args.backend, "grid": args.grid,
+                         "reps": args.reps if args.backend == "mc" else None})
+        rows = _weight_table_rows(args, scenario, grid_ns)
+        grid = [(r[0], *(w for w in r[2:4] if w is not None)) for r in rows]
         coeff = fit_power_law(grid, scenario)
-    except (OSError, ValueError) as exc:
-        print(f"optmean fit: input error: {exc}", file=sys.stderr)
-        return EXIT_DATA
     result = {"scenario": scenario.value, "model": coeff.model, "c1": coeff.c1,
               "c2": coeff.c2, "c3": coeff.c3, "c4": coeff.c4,
               "residual": coeff.residual, "n_points": len(grid)}
@@ -332,16 +334,13 @@ def _cmd_fit(args) -> int:
 # simulate
 
 def _cmd_simulate(args) -> int:
-    try:
-        spec = distribution(args.distribution)
-        scenario = Scenario.parse(args.scenario)
-        methods = tuple(_method_name(m) for m in (args.methods or "").split(",")
-                        if m.strip())
-        config = SimulationConfig(
-            distribution=spec, scenario=scenario, methods=methods,
-            n_grid=_parse_grid(args.grid), replicates=args.reps, seed=args.seed)
-    except (ValueError, ScenarioError) as exc:
-        args.parser.error(str(exc))
+    spec = distribution(args.distribution)
+    scenario = Scenario.parse(args.scenario)
+    methods = tuple(_method_name(m) for m in (args.methods or "").split(",")
+                    if m.strip())
+    config = SimulationConfig(
+        distribution=spec, scenario=scenario, methods=methods,
+        n_grid=_parse_grid(args.grid), replicates=args.reps, seed=args.seed)
     settings = {"distribution": args.distribution, "scenario": scenario.value,
                 "methods": ",".join(config.methods), "grid": args.grid,
                 "reps": args.reps, "seed": args.seed}
@@ -358,53 +357,31 @@ def _cmd_simulate(args) -> int:
 # meta
 
 def _cmd_meta(args) -> int:
-    mean_method, sd_method = PROFILES[args.profile]
-    if args.mean_method:
-        mean_method = args.mean_method
-    if args.sd_method:
-        sd_method = args.sd_method
+    profile_mean, profile_sd = PROFILES[args.profile]
+    mean_method = args.mean_method or profile_mean
+    sd_method = args.sd_method or profile_sd
     settings = {"input": args.input or "<bundled table1.csv>",
                 "profile": args.profile, "mean_method": mean_method,
                 "sd_method": sd_method}
-    try:
-        if args.input is None:
-            records = load_bundled_studies()
-        else:
-            records = read_study_csv(args.input)
+    with _reading():
+        records = load_bundled_studies() if args.input is None \
+            else read_study_csv(args.input)
         result = run_case_study(records, mean_method, sd_method)
-    except StudyConversionError as exc:
-        print(f"optmean meta: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except (OSError, ValueError, ScenarioError) as exc:
-        print(f"optmean meta: input error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+    study_fields = ("index", "label", "n_cases", "n_controls")
     if args.format == "json":
         payload = result.to_dict()
         for record, effect in zip(records, payload["effects"]):
-            effect["index"] = record.index
-            effect["label"] = record.label
-            effect["n_cases"] = record.n_cases
-            effect["n_controls"] = record.n_controls
+            effect.update({key: getattr(record, key) for key in study_fields})
         _emit_json(args.output, "meta", settings, {"result": payload})
         return EXIT_OK
-    fields = ("index", "label", "n_cases", "n_controls", "d", "var_d",
-              "weight", "ci_low", "ci_high")
-    rows = []
-    for record, effect in zip(records, result.effects):
-        lo, hi = effect.ci95
-        rows.append([record.index, record.label, record.n_cases,
-                     record.n_controls, effect.d, effect.var_d,
-                     effect.weight, lo, hi])
-    footer = [
-        f"# pooled_d={_fmt(result.pooled_d)}",
-        f"# pooled_ci_low={_fmt(result.pooled_ci95[0])}",
-        f"# pooled_ci_high={_fmt(result.pooled_ci95[1])}",
-        f"# q={_fmt(result.q)}",
-        f"# df={result.df}",
-        f"# p_value={_fmt(result.p_value)}",
-        f"# i_squared={_fmt(result.i_squared)}",
-        f"# tau_squared={_fmt(result.tau_squared)}",
-    ]
+    fields = (*study_fields, "d", "var_d", "weight", "ci_low", "ci_high")
+    rows = [[*(getattr(record, key) for key in study_fields), effect.d, effect.var_d,
+             effect.weight, *effect.ci95] for record, effect in zip(records, result.effects)]
+    low, high = result.pooled_ci95
+    stats = {"pooled_d": result.pooled_d, "pooled_ci_low": low, "pooled_ci_high": high,
+             **{key: getattr(result, key)
+                for key in ("q", "df", "p_value", "i_squared", "tau_squared")}}
+    footer = [f"# {key}={_fmt(value)}" for key, value in stats.items()]
     _emit_csv(args.output, "meta", settings, fields, rows, footer=footer)
     return EXIT_OK
 
@@ -506,8 +483,14 @@ def main(argv=None) -> int:
     args.mc_moments = {}
     try:
         return args.func(args)
+    except _InputError as exc:
+        print(f"optmean {args.command}: input error: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    except ValueError as exc:
+        # any other refused value came from a flag
+        args.parser.error(str(exc))
     except OSError as exc:
-        # every command reports its own input errors, so this is the output
+        # input files are read under `_reading`, so this is the output
         print(f"optmean {args.command}: output error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (NumericalError, ArithmeticError) as exc:

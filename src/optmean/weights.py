@@ -18,6 +18,7 @@ Scenarios name which fragment a study reports:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
@@ -192,13 +193,14 @@ def approx_weight(scenario, n: int) -> WeightSet:
     S3: (2.2 / (2.2 + n^0.75), 0.7 - 0.72 / n^0.55)
 
     These are the `_POWER_LAWS` models at their published coefficients.
-    Unlike the exact weights they accept any integer n >= 5; below the
-    fitted range they are undefined and refused.
+    Unlike the exact weights they accept any integer n >= 5 that is finite
+    as a float; below the fitted range they are undefined and refused.
     """
     scenario = Scenario.parse(scenario)
     n = int(n)
-    if n < 5:
-        raise ValueError(f"approximate weights are only defined for n >= 5, got {n}")
+    if not 5 <= n <= sys.float_info.max:
+        raise ValueError(f"approximate weights need an n >= 5 that is finite as a "
+                         f"float, got {n}")
     return WeightSet(scenario, n, *(model(n, *coeffs)
                                     for model, coeffs in _POWER_LAWS[scenario][1]),
                      source="approx")

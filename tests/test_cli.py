@@ -3,9 +3,11 @@
 import csv
 import io
 import json
+import time
 
 import pytest
 
+from optmean import _rng
 from optmean.cli import EXIT_DATA, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, build_parser, \
     main
 from optmean.estimators import METHODS, SD_METHODS, SUMMARY_METHODS, \
@@ -251,6 +253,19 @@ class TestEstimate:
         assert float(row["max"]) == 1.7976931345e308
         assert row["min"] == "0" and row["value"] == "0"
 
+    def test_batch_reps_past_counter_space_is_data_error(self, tmp_path, capsys,
+                                                         monkeypatch):
+        monkeypatch.setattr(_rng, "Philox", _no_draws)
+        src = tmp_path / "summaries.csv"
+        src.write_text("scenario,n,min,q1,median,q3,max\ns1,9,1,,2,,5\n")
+        code, out, err = run_cli([
+            "estimate", "--input", str(src), "--method", "optimal-exact",
+            "--backend", "mc", "--reps", str(10**400)], capsys)
+        assert code == EXIT_DATA
+        assert out == ""
+        assert err.startswith("optmean estimate: input error: line 2: ")
+        assert err.endswith(" Philox counters of one stream\n")
+
     def test_batch_json_format(self, tmp_path, capsys):
         src = tmp_path / "summaries.csv"
         src.write_text(
@@ -394,6 +409,36 @@ class TestFit:
         assert code == EXIT_DATA
         assert "finite" in err
 
+    def test_short_regenerated_grid_is_usage_error(self, capsys):
+        # the two sizes come from --grid, a flag
+        with pytest.raises(SystemExit) as excinfo:
+            main(["fit", "--scenario", "s1", "--grid", "5:9:4"])
+        assert excinfo.value.code == EXIT_USAGE
+        assert capsys.readouterr().err.endswith(
+            "optmean fit: error: need at least 4 grid points to fit, got 2\n")
+
+    def test_sample_size_past_float_range_is_data_error(self, tmp_path, capsys):
+        table = tmp_path / "weights.csv"
+        table.write_text("n,scenario,exact_w1\n5,s1,0.55\n9,s1,0.43\n"
+                         f"13,s1,0.37\n{10**400},s1,0.01\n")
+        code, out, err = run_cli([
+            "fit", "--scenario", "s1", "--input", str(table)], capsys)
+        assert code == EXIT_DATA
+        assert out == ""
+        assert err == "optmean fit: input error: int too large to convert to float\n"
+
+    def test_weights_no_power_law_follows_are_data_error(self, tmp_path, capsys):
+        # 0.7 + c1*n^c2 cannot pass above 0.7 at n = 5 and below it at n = 57
+        table = tmp_path / "weights.csv"
+        table.write_text("n,scenario,exact_w1\n5,s2,0.778\n5,s2,0.778\n"
+                         "5,s2,0.778\n57,s2,0.69994\n")
+        code, out, err = run_cli([
+            "fit", "--scenario", "s2", "--input", str(table)], capsys)
+        assert code == EXIT_DATA
+        assert out == ""
+        assert err.startswith("optmean fit: input error: power-law fit for s2 "
+                              "did not converge")
+
     def test_underdetermined_input_is_data_error(self, tmp_path, capsys):
         table = tmp_path / "weights.csv"
         run_cli(["weights", "--scenario", "s1", "--grid", "5:9:4",
@@ -465,6 +510,16 @@ class TestMeta:
         assert len(doc["result"]["effects"]) == 7
         assert doc["result"]["effects"][0]["label"] == "Davies 1985"
         assert doc["result"]["pooled_d"] == pytest.approx(0.6257, abs=0.05)
+
+    def test_conversion_error_has_input_error_prefix(self, tmp_path, capsys):
+        src = tmp_path / "studies.csv"
+        src.write_text("index,label,n_cases,n_controls,payload_type,"
+                       "f01,f02,f03,f04,f05,f06,f07,f08,f09,f10,f11,note\n"
+                       "1,x,10,10,meansd,1,-2,3,4,,,,,,,,\n")
+        code, out, err = run_cli(["meta", "--input", str(src)], capsys)
+        assert code == EXIT_DATA
+        assert out == ""
+        assert err.startswith("optmean meta: input error: could not convert 1 study:\n  ")
 
     def test_malformed_study_file_is_data_error(self, tmp_path, capsys):
         src = tmp_path / "studies.csv"
@@ -624,6 +679,52 @@ class TestUnallocatableSize:
         assert out == ""
         assert err.startswith(f"optmean {argv[0]}: out of memory: ")
         assert len(err.splitlines()) == 1
+
+
+def _no_draws(*args, **kwargs):
+    raise AssertionError("drew uniforms for a run that must be refused first")
+
+
+class TestHugeFlagValues:
+    """A grid, replicate count or sample size too large to run is refused as
+    a usage error (exit 2) at once, before any draw, with no traceback."""
+
+    BIG = str(10**400)
+    HUGE = str(10**400 + 1)
+    GRID = "5:1000000000000000000000000000000:4"
+    COUNTERS = " Philox counters of one stream"
+
+    @pytest.mark.parametrize("argv,ending", [
+        (["weights", "--scenario", "s1", "--grid", GRID], " sizes"),
+        (["simulate", "--distribution", "normal", "--scenario", "s1", "--grid", GRID],
+         " sizes"),
+        (["fit", "--scenario", "s1", "--grid", GRID], " sizes"),
+        (["simulate", "--distribution", "normal", "--scenario", "s1",
+          "--grid", "5:9:4", "--reps", BIG], COUNTERS),
+        (["weights", "--scenario", "s1", "--n", "5", "--backend", "mc",
+          "--reps", BIG], COUNTERS),
+        (["estimate", "--scenario", "s1", "--n", "5", "--min", "1", "--median", "2",
+          "--max", "3", "--method", "optimal-exact", "--backend", "mc", "--reps", BIG],
+         COUNTERS),
+        (["weights", "--scenario", "s1", "--n", HUGE, "--backend", "mc",
+          "--reps", "10000"], COUNTERS),
+        (["simulate", "--distribution", "normal", "--scenario", "s1",
+          "--grid", f"{HUGE}:{HUGE}:4"], f" finite as a float, got {HUGE}"),
+    ], ids=["weights-grid", "simulate-grid", "fit-grid", "simulate-reps",
+            "weights-reps", "estimate-reps", "weights-n", "simulate-n"])
+    def test_usage_error(self, argv, ending, capsys, monkeypatch):
+        monkeypatch.setattr(_rng, "Philox", _no_draws)
+        start = time.perf_counter()
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert time.perf_counter() - start < 1.0
+        assert excinfo.value.code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        message = captured.err.splitlines()[-1]
+        assert message.startswith(f"optmean {argv[0]}: error: ")
+        assert message.endswith(ending)
 
 
 class TestReproducibility:

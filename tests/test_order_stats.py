@@ -408,6 +408,30 @@ class TestUniformStreams:
                                            values[1024:, 0].sum()])
         assert np.array_equal(sums[:, 1], 2 * sums[:, 0])
 
+    # 7 draws fill 2 counters, so 2**62 replicates span exactly 2**63
+    EDGE = 2 ** 62
+
+    def test_counter_bound_edge_is_drawn(self):
+        key = stream_key("unit", 5)
+        last = replicate_uniforms(key, self.EDGE - 1, 1, 7)
+        assert last.shape == (1, 7)
+        assert not np.array_equal(last, replicate_uniforms(key, 0, 1, 7))
+        first, u = next(replicate_chunks(key, self.EDGE, 7))
+        assert first == 0 and u.shape == (_rng.CHUNK, 7)
+
+    def test_past_counter_bound_is_refused_before_drawing(self, monkeypatch):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("drew past the counter bound")
+
+        monkeypatch.setattr(_rng, "Philox", no_draws)
+        key = stream_key("unit", 5)
+        with pytest.raises(ValueError, match="2\\*\\*63 Philox counters"):
+            replicate_uniforms(key, self.EDGE, 1, 7)
+        with pytest.raises(ValueError, match="2\\*\\*63 Philox counters"):
+            next(replicate_chunks(key, self.EDGE + 1, 7))
+        with pytest.raises(ValueError, match="2\\*\\*63 Philox counters"):
+            next(replicate_chunks(key, 10**400, 1))
+
     def test_distinct_keys_give_distinct_streams(self):
         a = replicate_uniforms(stream_key("a", 1), 0, 2, 8)
         b = replicate_uniforms(stream_key("b", 1), 0, 2, 8)

@@ -1,13 +1,19 @@
 """Refusal contract: any finite input gets a clean answer or a documented refusal.
 
-For generated `estimate` flag inputs (every method) and `meta` study rows of
-every payload kind (fivenum and meanrange under both profiles), `main` must
-not raise; it exits 0 with well-formed output holding no inf or nan, or
-exits 2 (usage) or 3 (input data) with its message on a line that starts
-with ``optmean `` (argparse puts its usage lines before it; a `meta`
-conversion error lists the studies after it, one indented line each). An
-`estimate` run answers the same whether a value follows its flag after
-``=`` or after a space.
+For generated `estimate` flag inputs and `--input` summary tables (every
+method), `meta` study rows of every payload kind (fivenum and meanrange under
+both profiles), `fit --input` weight tables, and the `--grid`, `--reps`,
+`--seed` and `--n` flags of `weights`, `simulate` and `fit`, `main` must not
+raise; it exits 0 with well-formed output holding no inf or nan, or exits 2
+(usage) or 3 (input data) with its message on a line that starts with
+``optmean `` (argparse puts its usage lines before it; a `meta` conversion
+error lists the studies after it, one indented line each). An `estimate` run
+answers the same whether a value follows its flag after ``=`` or after a
+space.
+
+Every generated run is cheap: grids of a few sizes of at most 41 and at
+most 20,000 replicates, or a size, grid or replicate count so large that it
+is refused before any work.
 """
 
 import csv
@@ -25,7 +31,8 @@ from optmean.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, _MEAN_METHODS, _SD_METHO
     main
 from optmean.estimators import METHODS, SD_METHODS
 from optmean.meta import PROFILES
-from optmean.weights import Scenario
+from optmean.simulation import DISTRIBUTION_KINDS
+from optmean.weights import Scenario, approx_weight
 
 CONTRACT = settings(max_examples=60, derandomize=True, database=None, deadline=None)
 
@@ -98,9 +105,10 @@ def _scenarios(method):
 
 
 @st.composite
-def estimate_argv(draw, method):
-    # mostly a scenario the method applies to, with its own fields in
-    # order, sometimes any scenario, any subset and any order
+def summary_fields(draw, method):
+    """``(well_formed, scenario, n, {position: value})`` of one summary for
+    ``estimate --method``: mostly a scenario the method applies to, with its
+    own fields in order, sometimes any scenario, any subset and any order."""
     well_formed = draw(WELL_FORMED)
     scenario = draw(st.sampled_from(_scenarios(method) if well_formed
                                     else ["s1", "s2", "s3"]))
@@ -110,8 +118,13 @@ def estimate_argv(draw, method):
         values.sort()
     present = SCENARIO_FIELDS[scenario] if draw(WELL_FORMED) \
         else [k for k in range(5) if draw(st.booleans())]
-    argv = ["estimate", "--scenario", scenario, "--n", str(n), "--method", method]
-    argv += [f"{VALUE_FLAGS[k]}={values[k]!r}" for k in present]
+    return well_formed, scenario, n, {k: values[k] for k in present}
+
+
+@st.composite
+def method_flags(draw, method, scenario, well_formed):
+    """The flags of an `estimate` run besides its summary."""
+    argv = ["--method", method]
     if method == "weighted":
         count = (2 if scenario == "s3" else 1) if well_formed else draw(st.integers(0, 2))
         weights = draw(st.lists(mostly(st.floats(0.0, 0.5), FINITE),
@@ -120,6 +133,14 @@ def estimate_argv(draw, method):
     if method == "optimal-exact" and draw(st.booleans()):
         argv += ["--backend", "mc", "--reps", "10000"]
     return argv + ["--format", draw(st.sampled_from(["csv", "json"]))]
+
+
+@st.composite
+def estimate_argv(draw, method):
+    well_formed, scenario, n, values = draw(summary_fields(method))
+    argv = ["estimate", "--scenario", scenario, "--n", str(n)]
+    argv += [f"{VALUE_FLAGS[k]}={v!r}" for k, v in values.items()]
+    return argv + draw(method_flags(method, scenario, well_formed))
 
 
 @pytest.mark.parametrize("method", _MEAN_METHODS + _SD_METHODS)
@@ -131,6 +152,30 @@ def test_estimate(method, data):
     # a negative value such as -1e+300 after a space is a value, not an option
     spaced = [part for arg in argv for part in arg.split("=", 1)]
     assert run(spaced)[:2] == result, (argv, spaced)
+
+
+def check_table(command, header, rows, options):
+    """Run ``command --input`` on a CSV of ``header`` and ``rows`` under the
+    contract."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "table.csv")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(header + "\n".join(rows) + "\n")
+        return check_contract([command, "--input", path, *options])
+
+
+@pytest.mark.parametrize("method", _MEAN_METHODS + _SD_METHODS)
+@CONTRACT
+@given(data=st.data())
+def test_estimate_input(method, data):
+    summaries = [data.draw(summary_fields(method))
+                 for _ in range(data.draw(mostly(st.integers(1, 2), st.just(3))))]
+    rows = [",".join([scenario, str(n), *(repr(values[k]) if k in values else ""
+                                          for k in range(5))])
+            for _, scenario, n, values in summaries]
+    well_formed, scenario, _, _ = summaries[0]
+    check_table("estimate", "scenario,n,min,q1,median,q3,max\n", rows,
+                data.draw(method_flags(method, scenario, well_formed)))
 
 
 STUDY_HEADER = ("index,label,n_cases,n_controls,payload_type,"
@@ -187,19 +232,11 @@ def study_rows(draw, kind, profile="table3"):
     return rows
 
 
-def check_meta(rows, options):
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "studies.csv")
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(STUDY_HEADER + "\n".join(rows) + "\n")
-        return check_contract(["meta", "--input", path, *options])
-
-
 @pytest.mark.parametrize("kind", ["meansd", "or"])
 @CONTRACT
 @given(data=st.data(), fmt=st.sampled_from(["csv", "json"]))
 def test_meta(kind, data, fmt):
-    check_meta(data.draw(study_rows(kind)), ["--format", fmt])
+    check_table("meta", STUDY_HEADER, data.draw(study_rows(kind)), ["--format", fmt])
 
 
 @pytest.mark.parametrize("profile", sorted(PROFILES))
@@ -207,5 +244,99 @@ def test_meta(kind, data, fmt):
 @CONTRACT
 @given(data=st.data(), fmt=st.sampled_from(["csv", "json"]))
 def test_meta_summaries(kind, profile, data, fmt):
-    check_meta(data.draw(study_rows(kind, profile)),
-               ["--profile", profile, "--format", fmt])
+    check_table("meta", STUDY_HEADER, data.draw(study_rows(kind, profile)),
+                ["--profile", profile, "--format", fmt])
+
+
+HUGE = 10**400 + 1
+# sizes of the form 4Q+1 up to 41, else ones refused before any work: not of
+# that form, or with windows past the Philox counter space at any replicate count
+SMALL_SIZES = mostly(st.integers(1, 10).map(lambda q: 4 * q + 1),
+                     st.sampled_from([-1, 0, 2, 6, 40, 10**154 + 1, HUGE]))
+# at most 20,000 replicates, else too few or past the counter space
+REPS = mostly(st.integers(1_000, 20_000), st.sampled_from([-1, 0, 2**63, 10**400]))
+SEEDS = mostly(st.integers(0, 2**32), st.sampled_from([-1, 2**64, 10**400]))
+ODD_GRIDS = ["5:9", "5:9:4:4", "x:9:4", f"5:{10**30}:4", f"{HUGE}:{HUGE}:4",
+             f"5:{HUGE}:{10**399}", "5:1" + "0" * 5000 + ":4"]
+SCENARIOS = st.sampled_from(["s1", "s2", "s3"])
+FORMATS = st.sampled_from(["csv", "json"])
+
+
+@st.composite
+def grids(draw, most):
+    """``--grid`` text: mostly at most ``most`` sizes of at most 41, of the form
+    4Q+1 when well-formed, else a malformed or huge grid."""
+    count = draw(st.integers(1, most))
+    if draw(WELL_FORMED):  # count sizes from 5 up to 41
+        step = 4 * draw(st.integers(1, 9 // max(1, count - 1)))
+        start = 4 * draw(st.integers(1, 10 - step // 4 * (count - 1))) + 1
+    else:
+        start, step = draw(st.integers(-3, 41)), draw(st.integers(-2, 20))
+    stop = min(start + step * (count - 1), 41)
+    return draw(mostly(st.just(f"{start}:{stop}:{step}"), st.sampled_from(ODD_GRIDS)))
+
+
+@st.composite
+def moment_flags(draw):
+    """A scenario, a moment backend, ``--reps``, ``--seed`` and a format."""
+    return ["--scenario", draw(SCENARIOS), "--backend", draw(st.sampled_from(["quad", "mc"])),
+            "--reps", str(draw(REPS)), "--seed", str(draw(SEEDS)), "--format", draw(FORMATS)]
+
+
+@CONTRACT
+@given(data=st.data())
+def test_weights_flags(data):
+    # --grid or --n, sometimes both
+    argv = ["weights"]
+    if data.draw(st.booleans()):
+        argv += ["--grid", data.draw(grids(3))]
+    if "--grid" not in argv or not data.draw(WELL_FORMED):
+        argv += ["--n", str(data.draw(SMALL_SIZES))]
+    check_contract(argv + data.draw(moment_flags()))
+
+
+@CONTRACT
+@given(data=st.data())
+def test_fit_flags(data):
+    # a fit needs four sizes, so its grids run to ten
+    check_contract(["fit", "--grid", data.draw(grids(10)), *data.draw(moment_flags())])
+
+
+@CONTRACT
+@given(data=st.data())
+def test_simulate_flags(data):
+    check_contract(["simulate", "--distribution",
+                    data.draw(st.sampled_from(DISTRIBUTION_KINDS)),
+                    "--scenario", data.draw(SCENARIOS), "--grid", data.draw(grids(3)),
+                    "--reps", str(data.draw(REPS)), "--seed", str(data.draw(SEEDS)),
+                    "--format", data.draw(FORMATS)])
+
+
+@st.composite
+def weight_rows(draw, scenario):
+    """Weight-table rows: mostly sizes of the form 4Q+1 up to 501, in order,
+    with their approximate weights scaled by up to 1% (which a power law
+    mostly follows), else any sizes, scenarios and finite weights."""
+    rows = []
+    for _ in range(draw(mostly(st.integers(4, 8), st.integers(0, 3)))):
+        if draw(WELL_FORMED):
+            n = 4 * draw(st.integers(1, 125)) + 1
+            weights = [w * draw(st.floats(0.99, 1.01))
+                       for w in approx_weight(scenario, n).part_weights[:-1]]
+            rows.append((n, scenario, weights))
+        else:
+            rows.append((draw(SIZES), draw(SCENARIOS),
+                         [draw(FINITE) for _ in range(2)]))
+    if draw(WELL_FORMED):
+        rows.sort()
+    return [",".join([str(n), s, *map(repr, w), *[""] * (2 - len(w))])
+            for n, s, w in rows]
+
+
+@pytest.mark.parametrize("scenario", ["s1", "s2", "s3"])
+@CONTRACT
+@given(data=st.data(), fmt=st.sampled_from(["csv", "json"]))
+def test_fit_input(scenario, data, fmt):
+    check_table("fit", "n,scenario,exact_w1,exact_w2\n",
+                data.draw(weight_rows(Scenario(scenario))),
+                ["--scenario", scenario, "--format", fmt])

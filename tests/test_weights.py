@@ -83,7 +83,7 @@ class TestApproxWeight:
         assert 0 < ws.w < 1
         assert ws.source == "approx"
 
-    @pytest.mark.parametrize("n", [4, 3, 0, -5])
+    @pytest.mark.parametrize("n", [4, 3, 0, -5, pytest.param(10**400, id="1e400")])
     def test_rejects_small_n(self, n):
         with pytest.raises(ValueError):
             approx_weight("s1", n)
