@@ -87,7 +87,7 @@ def _parse_grid(text: str) -> tuple[int, ...]:
 
 # what reading or using an --input file may raise on a refused value; a power
 # law that does not converge on a read weight table is the table's fault
-_INPUT_ERRORS = (OSError, ValueError, ArithmeticError, FitConvergenceError)
+_INPUT_ERRORS = (OSError, ValueError, ArithmeticError, csv.Error, FitConvergenceError)
 
 
 class _InputError(Exception):
@@ -103,51 +103,53 @@ def _reading():
         raise _InputError(exc) from exc
 
 
-def _write_output(path, text: str):
-    if path is None:
+def _emit(args, settings: dict, fields, rows, document=None, footer=()):
+    """Write the configuration header, then the CSV table and its ``footer``
+    lines, or the JSON ``document`` (default ``{"rows": [...]}``)."""
+    from . import __version__
+    if args.format == "json":
+        body = document or {"rows": [dict(zip(fields, row)) for row in rows]}
+        text = json.dumps({"command": args.command, "version": __version__,
+                           "config": {**settings, "libraries": _LIBRARIES}, **body},
+                          indent=2, sort_keys=True) + "\n"
+    else:
+        libraries = ", ".join(f"{name} {v}" for name, v in _LIBRARIES.items())
+        buffer = io.StringIO()
+        buffer.write(f"# optmean {__version__} {args.command} ({libraries})\n")
+        buffer.writelines(f"# {key}={_fmt(settings[key])}\n" for key in sorted(settings))
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(fields)
+        writer.writerows([_fmt(v) for v in row] for row in rows)
+        buffer.writelines(line + "\n" for line in footer)
+        text = buffer.getvalue()
+    if args.output is None:
         sys.stdout.write(text)
     else:
-        with open(path, "w", encoding="utf-8", newline="") as handle:
+        with open(args.output, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
 
 
-def _config_header(command: str, settings: dict) -> list[str]:
-    from . import __version__
-    libraries = ", ".join(f"{name} {v}" for name, v in _LIBRARIES.items())
-    lines = [f"# optmean {__version__} {command} ({libraries})"]
-    for key in sorted(settings):
-        lines.append(f"# {key}={_fmt(settings[key])}")
-    return lines
-
-
-def _emit_csv(path, command, settings, fieldnames, rows, footer=None):
-    buffer = io.StringIO()
-    for line in _config_header(command, settings):
-        buffer.write(line + "\n")
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(fieldnames)
-    for row in rows:
-        writer.writerow([_fmt(v) for v in row])
-    for line in footer or ():
-        buffer.write(line + "\n")
-    _write_output(path, buffer.getvalue())
-
-
-def _emit_json(path, command, settings, payload):
-    from . import __version__
-    document = {"command": command, "version": __version__,
-                "config": {**settings, "libraries": _LIBRARIES}}
-    document.update(payload)
-    _write_output(path, json.dumps(document, indent=2, sort_keys=True) + "\n")
-
-
-def _emit_rows(args, command, settings, fieldnames, rows):
-    """A table as CSV, or as JSON ``{"rows": [...]}`` under ``--format json``."""
-    if args.format == "json":
-        _emit_json(args.output, command, settings,
-                   {"rows": [dict(zip(fieldnames, row)) for row in rows]})
-    else:
-        _emit_csv(args.output, command, settings, fieldnames, rows)
+def _read_table(path, what: str, columns: tuple, parse_row) -> list:
+    """The rows that ``parse_row`` makes of an ``--input`` CSV's records,
+    ``None`` dropped. Lines that start with ``#``, as the header of every
+    optmean CSV does, are skipped; the column header must start with
+    ``columns``, and a refused row is named by its line in the file."""
+    with _reading(), open(path, "r", encoding="utf-8", newline="") as handle:
+        numbered = [(k, line) for k, line in enumerate(handle, start=1)
+                    if not line.startswith("#")]
+        reader = csv.DictReader((line for _, line in numbered), restval="")
+        if (reader.fieldnames or [])[:len(columns)] != list(columns):
+            raise ValueError(f"{path} is not a {what} CSV: its columns must start "
+                             f"with {','.join(columns)}")
+        rows = []
+        for record in reader:
+            try:
+                row = parse_row(record)
+            except _INPUT_ERRORS as exc:
+                raise ValueError(f"line {numbered[reader.line_num - 1][0]}: {exc}") from exc
+            if row is not None:
+                rows.append(row)
+    return rows
 
 
 def _check_backend(args, sizes=()):
@@ -198,7 +200,14 @@ def _estimate_row(summary: FiveNumberSummary, estimate: Estimate) -> list:
             *((None,) * 4 if ws is None else (ws.w1, ws.w2, ws.median_weight, ws.source))]
 
 
-def _cmd_estimate(args) -> int:
+def _estimate_record(args, record) -> list:
+    values = [float(record[key]) if record[key].strip() else None
+              for key in _VALUE_COLUMNS]
+    summary = _summary_from_values(record["scenario"], int(record["n"]), values)
+    return _estimate_row(summary, _run_estimate_method(args, summary))
+
+
+def _cmd_estimate(args):
     settings = {"method": args.method, "seed": args.seed,
                 "backend": args.backend, "reps": args.reps}
     out_fields = list(_SUMMARY_COLUMNS) + [
@@ -206,38 +215,16 @@ def _cmd_estimate(args) -> int:
     if args.method == "optimal-exact":
         _check_backend(args)
     if args.input is not None:
-        rows = []
-        with _reading(), open(args.input, "r", encoding="utf-8", newline="") as handle:
-            reader = csv.DictReader(handle)
-            if reader.fieldnames is None or \
-                    tuple(reader.fieldnames[:7]) != _SUMMARY_COLUMNS:
-                raise ValueError(
-                    "summary CSV must have columns " + ",".join(_SUMMARY_COLUMNS))
-            for lineno, record in enumerate(reader, start=2):
-                try:
-                    values = [float(record[key]) if (record.get(key) or "").strip()
-                              else None for key in _VALUE_COLUMNS]
-                    summary = _summary_from_values(
-                        record["scenario"], int(record["n"]), values)
-                    rows.append(_estimate_row(
-                        summary, _run_estimate_method(args, summary)))
-                except _INPUT_ERRORS as exc:
-                    raise ValueError(f"line {lineno}: {exc}") from exc
-        settings["input"] = args.input
-        _emit_rows(args, "estimate", settings, out_fields, rows)
-        return EXIT_OK
-
+        rows = _read_table(args.input, "summary", _SUMMARY_COLUMNS,
+                           lambda record: _estimate_record(args, record))
+        _emit(args, {**settings, "input": args.input}, out_fields, rows)
+        return
     if args.scenario is None or args.n is None:
         raise ValueError("--scenario and --n are required without --input")
     values = [getattr(args, column) for column in _VALUE_COLUMNS]
     summary = _summary_from_values(args.scenario, args.n, values)
     row = _estimate_row(summary, _run_estimate_method(args, summary))
-    if args.format == "json":
-        _emit_json(args.output, "estimate", settings,
-                   {"result": dict(zip(out_fields, row))})
-    else:
-        _emit_csv(args.output, "estimate", settings, out_fields, [row])
-    return EXIT_OK
+    _emit(args, settings, out_fields, [row], {"result": dict(zip(out_fields, row))})
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +255,7 @@ _WEIGHT_FIELDS = ("n", "scenario", "exact_w1", "exact_w2", "approx_w1",
                   "approx_w2", "backend", "std_error")
 
 
-def _cmd_weights(args) -> int:
+def _cmd_weights(args):
     scenario = Scenario.parse(args.scenario)
     if (args.n is None) == (args.grid is None):
         raise ValueError("give exactly one of --n or --grid")
@@ -276,33 +263,27 @@ def _cmd_weights(args) -> int:
     _check_backend(args, grid)
     settings = {"scenario": scenario.value, "backend": args.backend,
                 "seed": args.seed, "reps": args.reps if args.backend == "mc" else None}
-    rows = _weight_table_rows(args, scenario, grid)
-    _emit_rows(args, "weights", settings, _WEIGHT_FIELDS, rows)
-    return EXIT_OK
+    _emit(args, settings, _WEIGHT_FIELDS, _weight_table_rows(args, scenario, grid))
 
 
 # ---------------------------------------------------------------------------
 # fit
 
 def _read_weight_table(path, scenario: Scenario):
-    grid = []
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        lines = [line for line in handle if not line.startswith("#")]
-    try:
-        for record in csv.DictReader(lines, restval=""):
-            if Scenario.parse(record["scenario"]) is not scenario:
-                continue
-            # one weight per reported part but the median
-            grid.append((int(record["n"]), *(float(record[f"exact_w{k}"])
-                                             for k in range(1, len(scenario.parts)))))
-    except KeyError as exc:
-        raise ValueError(f"{path} is not a weight-table CSV: no column {exc}") from None
+    # one weight per reported part but the median
+    weights = tuple(f"exact_w{k}" for k in range(1, len(scenario.parts)))
+
+    def parse_row(record):
+        if Scenario.parse(record["scenario"]) is not scenario:
+            return None
+        return (float(int(record["n"])), *(float(record[key]) for key in weights))
+    grid = _read_table(path, "weight-table", ("n", "scenario", *weights), parse_row)
     if not grid:
         raise ValueError(f"no rows for scenario {scenario.value} in {path}")
     return grid
 
 
-def _cmd_fit(args) -> int:
+def _cmd_fit(args):
     scenario = Scenario.parse(args.scenario)
     settings = {"scenario": scenario.value, "seed": args.seed}
     if args.input is not None:
@@ -321,19 +302,13 @@ def _cmd_fit(args) -> int:
     result = {"scenario": scenario.value, "model": coeff.model, "c1": coeff.c1,
               "c2": coeff.c2, "c3": coeff.c3, "c4": coeff.c4,
               "residual": coeff.residual, "n_points": len(grid)}
-    if args.format == "csv":
-        fields = tuple(result)
-        _emit_csv(args.output, "fit", settings, fields,
-                  [[result[k] for k in fields]])
-    else:
-        _emit_json(args.output, "fit", settings, {"fit": result})
-    return EXIT_OK
+    _emit(args, settings, tuple(result), [list(result.values())], {"fit": result})
 
 
 # ---------------------------------------------------------------------------
 # simulate
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args):
     spec = distribution(args.distribution)
     scenario = Scenario.parse(args.scenario)
     methods = tuple(_method_name(m) for m in (args.methods or "").split(",")
@@ -349,14 +324,13 @@ def _cmd_simulate(args) -> int:
               "mc_std_error", "replicates")
     rows = [[r.distribution, r.scenario, r.n, r.method, r.rmse,
              r.mc_std_error, r.replicates] for r in report.rows]
-    _emit_rows(args, "simulate", settings, fields, rows)
-    return EXIT_OK
+    _emit(args, settings, fields, rows)
 
 
 # ---------------------------------------------------------------------------
 # meta
 
-def _cmd_meta(args) -> int:
+def _cmd_meta(args):
     profile_mean, profile_sd = PROFILES[args.profile]
     mean_method = args.mean_method or profile_mean
     sd_method = args.sd_method or profile_sd
@@ -368,12 +342,9 @@ def _cmd_meta(args) -> int:
             else read_study_csv(args.input)
         result = run_case_study(records, mean_method, sd_method)
     study_fields = ("index", "label", "n_cases", "n_controls")
-    if args.format == "json":
-        payload = result.to_dict()
-        for record, effect in zip(records, payload["effects"]):
-            effect.update({key: getattr(record, key) for key in study_fields})
-        _emit_json(args.output, "meta", settings, {"result": payload})
-        return EXIT_OK
+    payload = result.to_dict()
+    for record, effect in zip(records, payload["effects"]):
+        effect.update({key: getattr(record, key) for key in study_fields})
     fields = (*study_fields, "d", "var_d", "weight", "ci_low", "ci_high")
     rows = [[*(getattr(record, key) for key in study_fields), effect.d, effect.var_d,
              effect.weight, *effect.ci95] for record, effect in zip(records, result.effects)]
@@ -381,9 +352,8 @@ def _cmd_meta(args) -> int:
     stats = {"pooled_d": result.pooled_d, "pooled_ci_low": low, "pooled_ci_high": high,
              **{key: getattr(result, key)
                 for key in ("q", "df", "p_value", "i_squared", "tau_squared")}}
-    footer = [f"# {key}={_fmt(value)}" for key, value in stats.items()]
-    _emit_csv(args.output, "meta", settings, fields, rows, footer=footer)
-    return EXIT_OK
+    _emit(args, settings, fields, rows, {"result": payload},
+          [f"# {key}={_fmt(value)}" for key, value in stats.items()])
 
 
 # ---------------------------------------------------------------------------
@@ -408,6 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "RMSE simulations, and pool study effect sizes.")
     sub = parser.add_subparsers(dest="command", required=True)
     seed = _default_seed()
+    scenarios = tuple(scenario.value for scenario in Scenario)
 
     def common(p, default_format="csv"):
         p.add_argument("--seed", type=int, default=seed,
@@ -416,8 +387,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("csv", "json"), default=default_format)
         p.set_defaults(parser=p)
 
+    def moment_flags(p, backend_help=None):
+        p.add_argument("--backend", choices=("quad", "mc"), default="quad",
+                       help=backend_help)
+        p.add_argument("--reps", type=int, default=DEFAULT_WEIGHT_REPS)
+
     p = sub.add_parser("estimate", help="estimate a mean or SD from a summary")
-    p.add_argument("--scenario", choices=("s1", "s2", "s3"))
+    p.add_argument("--scenario", choices=scenarios)
     p.add_argument("--n", type=int)
     for column in _VALUE_COLUMNS:
         p.add_argument(f"--{column}", type=float)
@@ -425,37 +401,33 @@ def build_parser() -> argparse.ArgumentParser:
                    default="optimal-approx")
     p.add_argument("--weight", type=float, help="w1 for --method weighted")
     p.add_argument("--w2", type=float, help="w2 for --method weighted (s3)")
-    p.add_argument("--backend", choices=("quad", "mc"), default="quad",
-                   help="moment backend for --method optimal-exact")
-    p.add_argument("--reps", type=int, default=DEFAULT_WEIGHT_REPS)
+    moment_flags(p, "moment backend for --method optimal-exact")
     p.add_argument("--input", default=None,
                    help=f"batch mode: CSV of summaries ({','.join(_SUMMARY_COLUMNS)})")
     common(p)
     p.set_defaults(func=_cmd_estimate)
 
     p = sub.add_parser("weights", help="tabulate exact and approximate weights")
-    p.add_argument("--scenario", required=True, choices=("s1", "s2", "s3"))
+    p.add_argument("--scenario", required=True, choices=scenarios)
     p.add_argument("--n", type=int)
     p.add_argument("--grid", help="inclusive start:stop:step, e.g. 5:501:4")
-    p.add_argument("--backend", choices=("quad", "mc"), default="quad")
-    p.add_argument("--reps", type=int, default=DEFAULT_WEIGHT_REPS)
+    moment_flags(p)
     common(p)
     p.set_defaults(func=_cmd_weights)
 
     p = sub.add_parser("fit", help="refit the power-law weight approximations")
-    p.add_argument("--scenario", required=True, choices=("s1", "s2", "s3"))
+    p.add_argument("--scenario", required=True, choices=scenarios)
     p.add_argument("--input", default=None,
                    help="weight-table CSV from `optmean weights`")
     p.add_argument("--grid", default="5:101:4",
                    help="grid to regenerate when --input is absent")
-    p.add_argument("--backend", choices=("quad", "mc"), default="quad")
-    p.add_argument("--reps", type=int, default=DEFAULT_WEIGHT_REPS)
+    moment_flags(p)
     common(p, default_format="json")
     p.set_defaults(func=_cmd_fit)
 
     p = sub.add_parser("simulate", help="relative-MSE comparison of estimators")
     p.add_argument("--distribution", required=True, choices=DISTRIBUTION_KINDS)
-    p.add_argument("--scenario", required=True, choices=("s1", "s2", "s3"))
+    p.add_argument("--scenario", required=True, choices=scenarios)
     p.add_argument("--methods", default=None,
                    help=f"comma list of {', '.join(METHODS)}; "
                         "default: control, legacy, optimal-approx")
@@ -482,7 +454,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     args.mc_moments = {}
     try:
-        return args.func(args)
+        args.func(args)
+        return EXIT_OK
     except _InputError as exc:
         print(f"optmean {args.command}: input error: {exc}", file=sys.stderr)
         return EXIT_DATA

@@ -266,6 +266,40 @@ class TestEstimate:
         assert err.startswith("optmean estimate: input error: line 2: ")
         assert err.endswith(" Philox counters of one stream\n")
 
+    def test_batch_reads_its_own_output(self, tmp_path, capsys):
+        # an optmean CSV starts with '#' lines; its leading columns match
+        src, written = tmp_path / "summaries.csv", tmp_path / "estimates.csv"
+        src.write_text("scenario,n,min,q1,median,q3,max\n"
+                       "s1,40,2.25,,16,,74.25\ns2,40,,1,2,3,\ns3,41,1,2,3,4,5\n")
+        code, first, _ = run_cli(["estimate", "--input", str(src),
+                                  "--output", str(written)], capsys)
+        assert code == EXIT_OK and first == ""
+        assert written.read_text().startswith("# optmean ")
+        code, again, _ = run_cli(["estimate", "--input", str(written)], capsys)
+        assert code == EXIT_OK
+        assert parse_csv(again) == parse_csv(written.read_text())
+
+    def test_refused_row_after_comment_header_names_its_line(self, tmp_path,
+                                                             capsys):
+        src = tmp_path / "summaries.csv"
+        run_cli(["estimate", "--scenario", "s1", "--n", "9", "--min", "1",
+                 "--median", "2", "--max", "3", "--output", str(src)], capsys)
+        lines = src.read_text().splitlines()
+        src.write_text("\n".join(lines + ["s1,9,5,,2,,3"]) + "\n")
+        code, out, err = run_cli(["estimate", "--input", str(src)], capsys)
+        assert code == EXIT_DATA
+        assert out == ""
+        assert err == (f"optmean estimate: input error: line {len(lines) + 1}: "
+                       "summary values must be ordered, got (5.0, 2.0, 3.0)\n")
+
+    def test_batch_short_row_is_data_error(self, tmp_path, capsys):
+        src = tmp_path / "summaries.csv"
+        src.write_text("scenario,n,min,q1,median,q3,max\ns1,9,1,,2,,3\ns1\n")
+        code, out, err = run_cli(["estimate", "--input", str(src)], capsys)
+        assert code == EXIT_DATA
+        assert out == ""
+        assert err.startswith("optmean estimate: input error: line 3: ")
+
     def test_batch_json_format(self, tmp_path, capsys):
         src = tmp_path / "summaries.csv"
         src.write_text(
@@ -425,7 +459,21 @@ class TestFit:
             "fit", "--scenario", "s1", "--input", str(table)], capsys)
         assert code == EXIT_DATA
         assert out == ""
-        assert err == "optmean fit: input error: int too large to convert to float\n"
+        assert err == ("optmean fit: input error: line 5: "
+                       "int too large to convert to float\n")
+
+    def test_refused_row_after_comment_header_names_its_line(self, tmp_path,
+                                                             capsys):
+        table = tmp_path / "weights.csv"
+        run_cli(["weights", "--scenario", "s1", "--grid", "5:17:4",
+                 "--output", str(table)], capsys)
+        lines = table.read_text().splitlines()
+        table.write_text("\n".join(lines + ["21,s1,x"]) + "\n")
+        code, out, err = run_cli([
+            "fit", "--scenario", "s1", "--input", str(table)], capsys)
+        assert code == EXIT_DATA
+        assert out == ""
+        assert err.startswith(f"optmean fit: input error: line {len(lines) + 1}: ")
 
     def test_weights_no_power_law_follows_are_data_error(self, tmp_path, capsys):
         # 0.7 + c1*n^c2 cannot pass above 0.7 at n = 5 and below it at n = 57
@@ -725,6 +773,59 @@ class TestHugeFlagValues:
         message = captured.err.splitlines()[-1]
         assert message.startswith(f"optmean {argv[0]}: error: ")
         assert message.endswith(ending)
+
+
+# an accepted run of each command, with the one JSON key that holds its body
+OUTPUT_SHAPES = [
+    (["estimate", "--scenario", "s1", "--n", "9", "--min", "1", "--median", "2",
+      "--max", "3"], "result"),
+    (["estimate", "--input", "SUMMARIES"], "rows"),
+    (["weights", "--scenario", "s1", "--grid", "5:9:4"], "rows"),
+    (["fit", "--scenario", "s1", "--grid", "5:17:4"], "fit"),
+    (["simulate", "--distribution", "normal", "--scenario", "s1", "--grid", "5:9:4",
+      "--reps", "1000"], "rows"),
+    (["meta"], "result"),
+]
+
+
+class TestTableFormat:
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("argv,body", OUTPUT_SHAPES,
+                             ids=["estimate", "estimate-input", "weights", "fit",
+                                  "simulate", "meta"])
+    def test_output_shape(self, argv, body, fmt, tmp_path, capsys):
+        src = tmp_path / "summaries.csv"
+        src.write_text("scenario,n,min,q1,median,q3,max\ns1,9,1,,2,,3\ns2,9,,1,2,3,\n")
+        argv = [str(src) if arg == "SUMMARIES" else arg for arg in argv]
+        code, out, _ = run_cli(argv + ["--format", fmt], capsys)
+        assert code == EXIT_OK
+        if fmt == "json":
+            doc = json.loads(out)
+            assert set(doc) == {"command", "version", "config", body}
+            assert doc["command"] == argv[0]
+            return
+        # '#' header lines, then one column header and its rows (then, for
+        # `meta`, '#' footer lines)
+        lines = out.splitlines()
+        table = [k for k, line in enumerate(lines) if not line.startswith("#")]
+        assert table[0] > 0 and table == list(range(table[0], table[-1] + 1))
+        rows = list(csv.reader(lines[k] for k in table))
+        assert len(rows) >= 2 and all(len(row) == len(rows[0]) for row in rows)
+
+    @pytest.mark.parametrize("argv,header", [
+        (["estimate"], "scenario,n,min,q1,median,q3,max"),
+        (["fit", "--scenario", "s1"], "n,scenario,exact_w1"),
+        (["meta"], "index,label,n_cases,n_controls,payload_type")],
+        ids=["estimate", "fit", "meta"])
+    def test_field_past_csv_limit_is_data_error(self, argv, header, tmp_path,
+                                                capsys):
+        src = tmp_path / "table.csv"
+        src.write_text(f"{header}\n{'9' * 200_000},s1\n")
+        code, out, err = run_cli(argv + ["--input", str(src)], capsys)
+        assert code == EXIT_DATA
+        assert out == ""
+        assert err == (f"optmean {argv[0]}: input error: "
+                       "field larger than field limit (131072)\n")
 
 
 class TestReproducibility:

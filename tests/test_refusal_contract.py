@@ -194,14 +194,18 @@ def study_fields(draw, kind, profile):
     """One study's f-columns of payload ``kind``, mostly well-formed (for
     ``profile``'s estimators)."""
     if kind == "fivenum":
-        # a scenario and two arms of five values, as `estimate_argv` draws them
+        # a scenario and two arms of five values; a well-formed study has the
+        # scenario's fields, moderate and in order (a run holds up to three
+        # studies, and one bad study refuses it), else each part is drawn as
+        # `estimate_argv` draws it
         well_formed = draw(WELL_FORMED)
         scenario = draw(st.sampled_from(_profile_scenarios(profile) if well_formed
                                         else ["s1", "s2", "s3"]))
-        present = SCENARIO_FIELDS[scenario] if draw(WELL_FORMED) \
+        present = SCENARIO_FIELDS[scenario] if well_formed or draw(WELL_FORMED) \
             else [k for k in range(5) if draw(st.booleans())]
-        arms = [draw(st.lists(FINITE, min_size=5, max_size=5)) for _ in range(2)]
-        if draw(WELL_FORMED):
+        values = st.floats(min_value=-1e6, max_value=1e6) if well_formed else FINITE
+        arms = [draw(st.lists(values, min_size=5, max_size=5)) for _ in range(2)]
+        if well_formed or draw(WELL_FORMED):
             arms = [sorted(arm) for arm in arms]
         return [scenario, *(repr(v) if k in present else ""
                             for arm in arms for k, v in enumerate(arm))]
@@ -224,8 +228,9 @@ def study_rows(draw, kind, profile="table3"):
     rows = []
     for index in range(1, draw(mostly(st.integers(2, 3), st.just(1))) + 1):
         values = draw(study_fields(kind, profile))
-        # a range alone gives a Hozo SD only above n = 15
-        sizes = mostly(st.integers(16, 10**6), SIZES) if kind == "meanrange" else SIZES
+        # summaries need n >= 5, and a range alone gives a Hozo SD only above 15
+        valid = {"fivenum": st.integers(5, 10**6), "meanrange": st.integers(16, 10**6)}
+        sizes = mostly(valid[kind], SIZES) if kind in valid else SIZES
         n_cases, n_controls = draw(sizes), draw(sizes)
         rows.append(",".join([str(index), f"s{index}", str(n_cases), str(n_controls),
                               kind, *values, *[""] * (11 - len(values)), ""]))
