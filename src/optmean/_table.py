@@ -1,0 +1,42 @@
+"""The one input-table format: every ``--input`` CSV and the bundled studies."""
+
+from __future__ import annotations
+
+import csv
+import math
+from typing import Optional
+
+
+def read_table(handle, what: str, columns: tuple, parse_row) -> list:
+    """The rows that ``parse_row`` makes of the records of the CSV open on
+    ``handle``, ``None`` dropped. Lines that start with ``#``, as the header
+    of every optmean CSV does, are skipped; the column header must start
+    with ``columns``, and a refused row is named by its line in the file."""
+    numbered = [(k, line) for k, line in enumerate(handle, start=1)
+                if not line.startswith("#")]
+    reader = csv.DictReader((line for _, line in numbered), restval="")
+    if (reader.fieldnames or [])[:len(columns)] != list(columns):
+        raise ValueError(f"{handle.name} is not a {what} CSV: its columns must "
+                         f"start with {','.join(columns)}")
+    rows = []
+    for record in reader:
+        try:
+            row = parse_row(record)
+        except (ValueError, ArithmeticError) as exc:
+            raise ValueError(f"line {numbered[reader.line_num - 1][0]}: {exc}") from exc
+        if row is not None:
+            rows.append(row)
+    return rows
+
+
+def cell_float(text: str, name: Optional[str] = None) -> Optional[float]:
+    """The finite float in a table cell. An empty cell is ``None``, or
+    refused as a missing required field when it is ``name``d."""
+    if not text.strip():
+        if name is not None:
+            raise ValueError(f"missing required field {name}")
+        return None
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite value {text.strip()!r}")
+    return value

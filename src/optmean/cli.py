@@ -26,6 +26,7 @@ import sys
 import numpy
 import scipy
 
+from ._table import cell_float, read_table
 from .errors import FitConvergenceError, NumericalError
 from .estimators import METHODS, SD_METHODS, SUMMARY_METHODS, Estimate, \
     FiveNumberSummary, estimate_mean, mean_weighted, sd_estimate
@@ -130,26 +131,9 @@ def _emit(args, settings: dict, fields, rows, document=None, footer=()):
 
 
 def _read_table(path, what: str, columns: tuple, parse_row) -> list:
-    """The rows that ``parse_row`` makes of an ``--input`` CSV's records,
-    ``None`` dropped. Lines that start with ``#``, as the header of every
-    optmean CSV does, are skipped; the column header must start with
-    ``columns``, and a refused row is named by its line in the file."""
+    """`read_table` on the ``--input`` file at ``path``."""
     with _reading(), open(path, "r", encoding="utf-8", newline="") as handle:
-        numbered = [(k, line) for k, line in enumerate(handle, start=1)
-                    if not line.startswith("#")]
-        reader = csv.DictReader((line for _, line in numbered), restval="")
-        if (reader.fieldnames or [])[:len(columns)] != list(columns):
-            raise ValueError(f"{path} is not a {what} CSV: its columns must start "
-                             f"with {','.join(columns)}")
-        rows = []
-        for record in reader:
-            try:
-                row = parse_row(record)
-            except _INPUT_ERRORS as exc:
-                raise ValueError(f"line {numbered[reader.line_num - 1][0]}: {exc}") from exc
-            if row is not None:
-                rows.append(row)
-    return rows
+        return read_table(handle, what, columns, parse_row)
 
 
 def _check_backend(args, sizes=()):
@@ -201,8 +185,7 @@ def _estimate_row(summary: FiveNumberSummary, estimate: Estimate) -> list:
 
 
 def _estimate_record(args, record) -> list:
-    values = [float(record[key]) if record[key].strip() else None
-              for key in _VALUE_COLUMNS]
+    values = [cell_float(record[key]) for key in _VALUE_COLUMNS]
     summary = _summary_from_values(record["scenario"], int(record["n"]), values)
     return _estimate_row(summary, _run_estimate_method(args, summary))
 

@@ -9,15 +9,15 @@ Cochran's Q, the chi-square heterogeneity p-value, and the I^2 index.
 
 from __future__ import annotations
 
-import csv
 import math
 import sys
 from dataclasses import dataclass, fields
 from importlib import resources
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 from scipy import special
 
+from ._table import cell_float, read_table
 from .errors import ScenarioError
 from .estimators import (
     SD_METHODS,
@@ -375,64 +375,38 @@ def run_case_study(records: Sequence[StudyRecord], mean_method: str,
 _CSV_COLUMNS = ["index", "label", "n_cases", "n_controls", "payload_type"]
 
 
-def _opt_float(raw: Optional[str]) -> Optional[float]:
-    if raw is None or raw.strip() == "":
-        return None
-    value = float(raw)
-    if not math.isfinite(value):
-        raise ValueError(f"non-finite value {raw.strip()!r}")
-    return value
-
-
-def _req_float(raw: Optional[str], what: str) -> float:
-    value = _opt_float(raw)
-    if value is None:
-        raise ValueError(f"missing required field {what}")
-    return value
-
-
 def _parse_payload(row: dict, n_cases: int, n_controls: int) -> Payload:
     kind = row["payload_type"].strip().lower()
     if kind not in _PAYLOADS:
         raise ValueError(f"unknown payload type {kind!r}")
     cls = _PAYLOADS[kind][0]
-    f = [row.get(f"f{k:02d}") for k in range(1, 12)]
+    f = [row.get(f"f{k:02d}", "") for k in range(1, 12)]
     if cls is not FiveNumberPayload:
         # all fields required, in field order from f01
-        return cls(*(_req_float(raw, f"{field.name} (f{k:02d})")
+        return cls(*(cell_float(raw, f"{field.name} (f{k:02d})")
                      for k, (field, raw) in enumerate(zip(fields(cls), f), start=1)))
-    scenario = (f[0] or "").strip().lower()
+    scenario = f[0].strip().lower()
     if not scenario:
         raise ValueError("fivenum payload needs a scenario in f01")
     # each arm's five values by position in `SUMMARY_FIELDS`, from f02 and
     # f07; every scenario reports the median
     return FiveNumberPayload(*(
         FiveNumberSummary(scenario=scenario, n=n, **{
-            name: _req_float(raw, f"{arm} {name} (f{k:02d})") if name == "median"
-            else _opt_float(raw)
+            name: cell_float(raw, f"{arm} {name} (f{k:02d})" if name == "median" else None)
             for k, name, raw in zip(range(first + 1, 12), SUMMARY_FIELDS, f[first:])})
         for first, arm, n in ((1, "cases", n_cases), (6, "controls", n_controls))))
 
 
-def _parse_rows(reader: csv.DictReader) -> list[StudyRecord]:
-    if reader.fieldnames is None or reader.fieldnames[:5] != _CSV_COLUMNS:
-        raise ValueError("study CSV must start with columns " + ",".join(_CSV_COLUMNS))
-    records = []
-    for lineno, row in enumerate(reader, start=2):
-        try:
-            index = int(row["index"])
-            record = StudyRecord(
-                index=index,
-                label=(row.get("label") or "").strip(),
-                n_cases=int(row["n_cases"]),
-                n_controls=int(row["n_controls"]),
-                payload=_parse_payload(row, int(row["n_cases"]),
-                                       int(row["n_controls"])),
-                note=(row.get("note") or "").strip(),
-            )
-        except (ValueError, ScenarioError, KeyError, TypeError) as exc:
-            raise ValueError(f"study CSV line {lineno}: {exc}") from exc
-        records.append(record)
+def _study_record(row: dict) -> StudyRecord:
+    index = int(row["index"])
+    n_cases, n_controls = int(row["n_cases"]), int(row["n_controls"])
+    return StudyRecord(index=index, label=row["label"].strip(), n_cases=n_cases,
+                       n_controls=n_controls, note=row.get("note", "").strip(),
+                       payload=_parse_payload(row, n_cases, n_controls))
+
+
+def _read_studies(handle) -> list[StudyRecord]:
+    records = read_table(handle, "study", _CSV_COLUMNS, _study_record)
     if not records:
         raise ValueError("study CSV holds no data rows")
     return records
@@ -444,10 +418,11 @@ def read_study_csv(path) -> list[StudyRecord]:
     Rows are ``index,label,n_cases,n_controls,payload_type,f01..f11,note``
     with payload_type one of fivenum, meansd, or, meanrange; the f-columns
     are positional per payload type (see the bundled table1.csv and the
-    README for the layout).
+    README for the layout). It is read by `read_table`: ``#`` lines are
+    skipped and a refused row is named by its line in the file.
     """
     with open(path, "r", encoding="utf-8", newline="") as handle:
-        return _parse_rows(csv.DictReader(handle))
+        return _read_studies(handle)
 
 
 def bundled_table1():
@@ -457,4 +432,4 @@ def bundled_table1():
 
 def load_bundled_studies() -> list[StudyRecord]:
     with bundled_table1().open("r", encoding="utf-8", newline="") as handle:
-        return _parse_rows(csv.DictReader(handle))
+        return _read_studies(handle)

@@ -13,8 +13,8 @@ from optmean.cli import EXIT_DATA, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, build_pa
 from optmean.estimators import METHODS, SD_METHODS, SUMMARY_METHODS, \
     FiveNumberSummary, estimate_mean, sd_estimate
 from optmean.errors import ScenarioError
-from optmean.meta import cohens_d, load_bundled_studies, read_study_csv, \
-    run_case_study
+from optmean.meta import bundled_table1, cohens_d, load_bundled_studies, \
+    read_study_csv, run_case_study
 from optmean.weights import Scenario
 
 
@@ -689,6 +689,20 @@ class TestMeta:
             assert out == ""
             assert f"missing required field {name} (f{k + 1:02d})" in err
 
+    def test_input_with_comment_header_matches_bundled(self, tmp_path, capsys):
+        src = tmp_path / "studies.csv"
+        src.write_text("# optmean 0 meta\n" + bundled_table1().read_text(encoding="utf-8"))
+        code, bundled, _ = run_cli(["meta"], capsys)
+        assert code == EXIT_OK
+        code, out, err = run_cli(["meta", "--input", str(src)], capsys)
+        assert (code, err) == (EXIT_OK, "")
+
+        def table_and_footer(text):
+            lines = text.splitlines()
+            first = next(k for k, line in enumerate(lines) if not line.startswith("#"))
+            return lines[first:]
+        assert table_and_footer(out) == table_and_footer(bundled)
+
     def test_sd_method_overrides_profile(self, capsys):
         want = run_case_study(load_bundled_studies(), "hozo_as_applied", "wan")
         code, out, _ = run_cli(["meta", "--profile", "table2", "--sd-method",
@@ -826,6 +840,26 @@ class TestTableFormat:
         assert out == ""
         assert err == (f"optmean {argv[0]}: input error: "
                        "field larger than field limit (131072)\n")
+
+
+    @pytest.mark.parametrize("argv,header,row,message", [
+        (["estimate"], "scenario,n,min,q1,median,q3,max", "s1,9,5,,2,,3",
+         "summary values must be ordered, got (5.0, 2.0, 3.0)"),
+        (["fit", "--scenario", "s1"], "n,scenario,exact_w1", "21,s1,x",
+         "could not convert string to float: 'x'"),
+        (["meta"], "index,label,n_cases,n_controls,payload_type,"
+         "f01,f02,f03,f04,f05,f06,f07,f08,f09,f10,f11,note",
+         "1,x,40,40,meansd,1,x,2,1,,,,,,,,", "could not convert string to float: 'x'")],
+        ids=["estimate", "fit", "meta"])
+    def test_refused_row_names_its_physical_line(self, argv, header, row, message,
+                                                 tmp_path, capsys):
+        # a '#' line and two blank lines put the refused row on line 5
+        src = tmp_path / "table.csv"
+        src.write_text(f"# optmean table\n{header}\n\n\n{row}\n")
+        code, out, err = run_cli(argv + ["--input", str(src)], capsys)
+        assert code == EXIT_DATA
+        assert out == ""
+        assert err == f"optmean {argv[0]}: input error: line 5: {message}\n"
 
 
 class TestReproducibility:

@@ -185,6 +185,74 @@ class TestPooling:
         assert doc["effects"][0]["weight"] == pytest.approx(1 / 0.0562)
 
 
+# The 13 BCG vaccine trials (Colditz et al. 1994, JAMA 271; metafor's
+# `dat.bcg`, Viechtbauer 2010, J Stat Softw 36(3)) as (vaccinated TB,
+# vaccinated no TB, control TB, control no TB).
+BCG_TRIALS = [
+    (4, 119, 11, 128), (6, 300, 29, 274), (3, 228, 11, 209),
+    (62, 13536, 248, 12619), (33, 5036, 47, 5761), (180, 1361, 372, 1079),
+    (8, 2537, 10, 619), (505, 87886, 499, 87892), (29, 7470, 45, 7232),
+    (17, 1699, 65, 1600), (186, 50448, 141, 27197), (5, 2493, 3, 2338),
+    (27, 16886, 29, 17825)]
+# metafor's DerSimonian-Laird fit of their log risk ratios, as printed:
+# Q(df = 12), tau^2, the estimate, I^2 (%) and its standard error
+BCG_DL = dict(q=152.23, tau2=0.3088, mu=-0.7141, i2=92.12, se=0.1787)
+
+
+def _bcg_log_risk_ratios():
+    """(log RR, 1/a - 1/(a+b) + 1/c - 1/(c+d)) of each BCG trial."""
+    return [(math.log(a / (a + b)) - math.log(c / (c + d)),
+             1 / a - 1 / (a + b) + 1 / c - 1 / (c + d))
+            for a, b, c, d in BCG_TRIALS]
+
+
+def _dersimonian_laird(studies):
+    """A DL pass written from the method's definition, sharing no package
+    code: (Q, tau^2, pooled estimate, I^2 in %, its standard error)."""
+    w = [1 / v for _, v in studies]
+    fixed = math.fsum(wi * y for wi, (y, _) in zip(w, studies)) / math.fsum(w)
+    q = math.fsum(wi * (y - fixed) ** 2 for wi, (y, _) in zip(w, studies))
+    df = len(studies) - 1
+    c = math.fsum(w) - math.fsum(wi * wi for wi in w) / math.fsum(w)
+    tau2 = max(0.0, (q - df) / c)
+    w_star = [1 / (v + tau2) for _, v in studies]
+    mu = math.fsum(wi * y for wi, (y, _) in zip(w_star, studies)) / math.fsum(w_star)
+    return q, tau2, mu, 100 * max(0.0, (q - df) / q), 1 / math.sqrt(math.fsum(w_star))
+
+
+class TestBcgOracle:
+    """Pooling against the BCG trials, a high-heterogeneity case (I^2 ~ 92%)."""
+
+    def test_hand_pass_reproduces_metafor(self):
+        q, tau2, mu, i2, se = _dersimonian_laird(_bcg_log_risk_ratios())
+        # each figure to the digits metafor prints
+        assert q == pytest.approx(BCG_DL["q"], abs=0.005)
+        assert tau2 == pytest.approx(BCG_DL["tau2"], abs=5e-5)
+        assert mu == pytest.approx(BCG_DL["mu"], abs=5e-5)
+        assert i2 == pytest.approx(BCG_DL["i2"], abs=0.005)
+        assert se == pytest.approx(BCG_DL["se"], abs=5e-5)
+
+    def test_pool_random_effects_matches(self):
+        studies = _bcg_log_risk_ratios()
+        result = pool_random_effects([StudyEffect(d=y, var_d=v) for y, v in studies])
+        assert result.df == 12
+        assert result.q == pytest.approx(BCG_DL["q"], abs=0.005)
+        assert result.tau_squared == pytest.approx(BCG_DL["tau2"], abs=5e-5)
+        assert result.pooled_d == pytest.approx(BCG_DL["mu"], abs=5e-5)
+        assert result.i_squared == pytest.approx(BCG_DL["i2"], abs=0.005)
+        assert result.p_value < 1e-4
+        # the package's normal critical value is 1.96 (metafor's 1.959964)
+        half = 1.96 * BCG_DL["se"]
+        lo, hi = result.pooled_ci95
+        assert lo == pytest.approx(BCG_DL["mu"] - half, abs=5e-5 + 1.96 * 5e-5)
+        assert hi == pytest.approx(BCG_DL["mu"] + half, abs=5e-5 + 1.96 * 5e-5)
+        # and agrees with the hand pass to rounding
+        q, tau2, mu, i2, se = _dersimonian_laird(studies)
+        assert (result.q, result.tau_squared, result.pooled_d, result.i_squared) == \
+            pytest.approx((q, tau2, mu, i2), rel=1e-12)
+        assert (lo, hi) == pytest.approx((mu - 1.96 * se, mu + 1.96 * se), rel=1e-12)
+
+
 class TestCaseStudy:
     def test_adaptive_profile_reproduces_published_rows(self):
         result = run_case_study(load_bundled_studies(), "optimal_approx", "wan")
