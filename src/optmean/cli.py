@@ -31,8 +31,8 @@ from .errors import FitConvergenceError, NumericalError
 from .estimators import METHODS, SD_METHODS, SUMMARY_METHODS, Estimate, \
     FiveNumberSummary, estimate_mean, mean_weighted, sd_estimate
 from .meta import PROFILES, load_bundled_studies, read_study_csv, run_case_study
-from .order_stats import MAX_QUADRATURE_SIZE, MIN_MC_REPLICATES, SUMMARY_FIELDS, \
-    moments_mc, moments_quadrature
+from .order_stats import SUMMARY_FIELDS, check_moment_domain, moments_mc, \
+    moments_quadrature
 from .simulation import SimulationConfig, DISTRIBUTION_KINDS, distribution, \
     run_rmse
 from .weights import Scenario, WeightSet, approx_weight, fit_power_law, \
@@ -136,16 +136,9 @@ def _read_table(path, what: str, columns: tuple, parse_row) -> list:
         return read_table(handle, what, columns, parse_row)
 
 
-def _check_backend(args, sizes=()):
-    """Refuse sizes and replicate counts the moment backend cannot serve."""
-    if args.backend == "mc" and args.reps < MIN_MC_REPLICATES:
-        raise ValueError(
-            f"--backend mc needs --reps >= {MIN_MC_REPLICATES}, got {args.reps}")
-    for n in sizes:
-        if n < 5 or n % 4 != 1:
-            raise ValueError(f"exact weights need sample sizes of the form 4Q+1, got {n}")
-        if args.backend == "quad" and n > MAX_QUADRATURE_SIZE:
-            raise ValueError(f"--backend quad supports n <= {MAX_QUADRATURE_SIZE}, got {n}")
+def _mc_reps(args):
+    """``--reps`` under ``--backend mc``; None (quadrature) otherwise."""
+    return args.reps if args.backend == "mc" else None
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +189,7 @@ def _cmd_estimate(args):
     out_fields = list(_SUMMARY_COLUMNS) + [
         "method", "value", "w1", "w2", "median_weight", "weight_source"]
     if args.method == "optimal-exact":
-        _check_backend(args)
+        check_moment_domain((), _mc_reps(args))
     if args.input is not None:
         rows = _read_table(args.input, "summary", _SUMMARY_COLUMNS,
                            lambda record: _estimate_record(args, record))
@@ -243,9 +236,9 @@ def _cmd_weights(args):
     if (args.n is None) == (args.grid is None):
         raise ValueError("give exactly one of --n or --grid")
     grid = (args.n,) if args.n is not None else _parse_grid(args.grid)
-    _check_backend(args, grid)
+    check_moment_domain(grid, _mc_reps(args))
     settings = {"scenario": scenario.value, "backend": args.backend,
-                "seed": args.seed, "reps": args.reps if args.backend == "mc" else None}
+                "seed": args.seed, "reps": _mc_reps(args)}
     _emit(args, settings, _WEIGHT_FIELDS, _weight_table_rows(args, scenario, grid))
 
 
@@ -276,9 +269,9 @@ def _cmd_fit(args):
             coeff = fit_power_law(grid, scenario)
     else:
         grid_ns = _parse_grid(args.grid)
-        _check_backend(args, grid_ns)
+        check_moment_domain(grid_ns, _mc_reps(args))
         settings.update({"backend": args.backend, "grid": args.grid,
-                         "reps": args.reps if args.backend == "mc" else None})
+                         "reps": _mc_reps(args)})
         rows = _weight_table_rows(args, scenario, grid_ns)
         grid = [(r[0], *(w for w in r[2:4] if w is not None)) for r in rows]
         coeff = fit_power_law(grid, scenario)

@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import math
 import operator
-import sys
 from dataclasses import dataclass
 from functools import reduce
 from typing import Callable, Optional
 
 from .errors import ScenarioError
 from .order_stats import SUMMARY_FIELDS, OrderStatMoments, _SUMMARY_PARTS, \
-    moments_quadrature, normal_quantile, summary_parts
+    check_sample_size, moments_quadrature, normal_quantile, summary_parts
 from .weights import Scenario, WeightSet, approx_weight, optimal_weights
 
 __all__ = [
@@ -69,9 +68,7 @@ class FiveNumberSummary:
 
     def __post_init__(self):
         object.__setattr__(self, "scenario", Scenario.parse(self.scenario))
-        if int(self.n) != self.n or not 5 <= self.n <= sys.float_info.max:
-            raise ValueError(f"sample size must be an integer >= 5 that is "
-                             f"finite as a float, got {self.n!r}")
+        object.__setattr__(self, "n", check_sample_size(self.n))
         wanted = FIELDS_BY_SCENARIO[self.scenario]
         for name, value in zip(SUMMARY_FIELDS, self.values()):
             if name in wanted and value is None:
@@ -336,7 +333,6 @@ def sd_estimate(summary: FiveNumberSummary,
 
 
 def _check_sd_inputs(lower: float, upper: float, n: int):
-    if n < 5:
-        raise ValueError(f"SD estimation needs n >= 5, got {n}")
+    check_sample_size(n)
     if upper < lower:
         raise ValueError(f"summary values out of order: {lower} > {upper}")

@@ -18,7 +18,6 @@ from typing import Sequence, Union
 from scipy import special
 
 from ._table import cell_float, read_table
-from .errors import ScenarioError
 from .estimators import (
     SD_METHODS,
     FiveNumberSummary,
@@ -156,20 +155,10 @@ class MetaResult:
     tau_squared: float
 
     def to_dict(self) -> dict:
-        return {
-            "effects": [
-                {"d": e.d, "var_d": e.var_d, "weight": e.weight,
-                 "ci95": list(e.ci95)}
-                for e in self.effects
-            ],
-            "pooled_d": self.pooled_d,
-            "pooled_ci95": list(self.pooled_ci95),
-            "q": self.q,
-            "df": self.df,
-            "p_value": self.p_value,
-            "i_squared": self.i_squared,
-            "tau_squared": self.tau_squared,
-        }
+        """Every field, the effects and intervals as JSON-ready lists."""
+        effects = [{"d": e.d, "var_d": e.var_d, "weight": e.weight, "ci95": list(e.ci95)}
+                   for e in self.effects]
+        return {**vars(self), "effects": effects, "pooled_ci95": list(self.pooled_ci95)}
 
 
 class StudyConversionError(ValueError):
@@ -290,16 +279,9 @@ def pool_random_effects(effects: Sequence[StudyEffect]) -> MetaResult:
     total = sum(star)
     pooled = sum(w * e.d for w, e in zip(star, effects)) / total
     half = _Z95 / math.sqrt(total)
-    return MetaResult(
-        effects=effects,
-        pooled_d=pooled,
-        pooled_ci95=(pooled - half, pooled + half),
-        q=het.q,
-        df=het.df,
-        p_value=het.p_value,
-        i_squared=het.i_squared,
-        tau_squared=tau2,
-    )
+    return MetaResult(effects=effects, pooled_d=pooled,
+                      pooled_ci95=(pooled - half, pooled + half), **vars(het),
+                      tau_squared=tau2)
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +343,7 @@ def run_case_study(records: Sequence[StudyRecord], mean_method: str,
     for record in records:
         try:
             effects.append(_study_effect(record, mean_method, sd_method))
-        except (ValueError, ScenarioError) as exc:
+        except ValueError as exc:
             failures.append((record.index, record.label, str(exc)))
     if failures:
         raise StudyConversionError(failures)

@@ -24,6 +24,8 @@ and the bulk transforms of drawn uniforms alike, is ``scipy.special.ndtri``.
 from __future__ import annotations
 
 import math
+import operator
+import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
 from typing import Mapping
@@ -46,6 +48,9 @@ __all__ = [
     "moments_mc",
     "moments_quadrature",
     "asymptotic_cov",
+    "check_sample_size",
+    "check_replicates",
+    "check_moment_domain",
     "MIN_MC_REPLICATES",
     "MAX_QUADRATURE_SIZE",
 ]
@@ -94,6 +99,48 @@ def normal_quantile(p: float) -> float:
 
 
 # ---------------------------------------------------------------------------
+# count rules: the one place a sample size or replicate count is refused
+
+
+def _whole(value):
+    """``value`` as an int if it is whole (9, 9.0, a numpy integer), else None."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        return int(value) if isinstance(value, float) and value.is_integer() else None
+
+
+def check_sample_size(n) -> int:
+    """A sample size, as an int: whole, >= 5 and finite as a float."""
+    size = _whole(n)
+    if size is None or not 5 <= size <= sys.float_info.max:
+        raise ValueError(f"sample size must be an integer >= 5 that is "
+                         f"finite as a float, got {n!r}")
+    return size
+
+
+def check_replicates(replicates, least: int, purpose: str) -> int:
+    """A replicate count, as an int: whole and >= ``least``, which ``purpose`` needs."""
+    count = _whole(replicates)
+    if count is None or count < least:
+        raise ValueError(f"refusing to run with replicates={replicates!r}; at least "
+                         f"{least} are needed for {purpose}")
+    return count
+
+
+def check_moment_domain(sizes, replicates=None):
+    """Refuse, before any work, what a moment backend cannot serve: a size
+    `OrderIndexSet` refuses, n > 501 for quadrature (``replicates`` None), or
+    fewer than 10,000 Monte Carlo ``replicates``, returned as an int."""
+    if replicates is not None:
+        replicates = check_replicates(replicates, MIN_MC_REPLICATES, "Monte Carlo moments")
+    for n in sizes:
+        if OrderIndexSet.from_size(n).n > MAX_QUADRATURE_SIZE and replicates is None:
+            raise ValueError(f"quadrature supports n <= {MAX_QUADRATURE_SIZE}, got {n}")
+    return replicates
+
+
+# ---------------------------------------------------------------------------
 # domain types
 
 # The five summary values, in the rank order of `OrderIndexSet.indices`.
@@ -118,12 +165,12 @@ class OrderIndexSet:
 
     @classmethod
     def from_size(cls, n: int) -> "OrderIndexSet":
-        n = int(n)
-        if n < 5 or n % 4 != 1:
+        size = _whole(n)
+        if size is None or size < 5 or size % 4 != 1:
             raise ScenarioError(
                 f"sample size must satisfy n = 4Q + 1 with Q >= 1, got n={n}"
             )
-        return cls(n=n, q=(n - 1) // 4)
+        return cls(n=size, q=(size - 1) // 4)
 
     @property
     def indices(self) -> tuple[int, int, int, int, int]:
@@ -223,12 +270,13 @@ def asymptotic_cov(p_i: float, p_j: float, n: int) -> AsymptoticQuantileCov:
         raise ValueError(
             f"quantile levels must satisfy 0 < p_i <= p_j < 1, got ({p_i}, {p_j})"
         )
-    if n < 1:
+    size = _whole(n)
+    if size is None or size < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
     dens_i = normal_pdf(normal_quantile(p_i))
     dens_j = normal_pdf(normal_quantile(p_j))
-    value = p_i * (1.0 - p_j) / (n * dens_i * dens_j)
-    return AsymptoticQuantileCov(p_i=p_i, p_j=p_j, n=int(n), value=value)
+    value = p_i * (1.0 - p_j) / (size * dens_i * dens_j)
+    return AsymptoticQuantileCov(p_i=p_i, p_j=p_j, n=size, value=value)
 
 
 # ---------------------------------------------------------------------------
@@ -340,11 +388,9 @@ def moments_quadrature(n: int) -> OrderStatMoments:
     integrated independently (no symmetry shortcuts), so the mirror-symmetry
     identities of normal order statistics remain genuine checks on the output.
     """
+    check_moment_domain((n,))
     idx = OrderIndexSet.from_size(n)
-    if n > MAX_QUADRATURE_SIZE:
-        raise ValueError(
-            f"quadrature backend supports n <= {MAX_QUADRATURE_SIZE}, got {n}"
-        )
+    n = idx.n
 
     def integrate(ranks, power):
         return _adaptive(partial(_moment_once, n, ranks, power))
@@ -376,13 +422,9 @@ def moments_mc(n: int, replicates: int, seed: int) -> OrderStatMoments:
     added, so the result is bit-identical for a given ``(n, replicates,
     seed)`` no matter how the replicates are chunked.
     """
+    replicates = check_moment_domain((n,), replicates)
     idx = OrderIndexSet.from_size(n)
-    replicates = int(replicates)
-    if replicates < MIN_MC_REPLICATES:
-        raise ValueError(
-            f"refusing to run with replicates={replicates}; at least "
-            f"{MIN_MC_REPLICATES} are needed for usable standard errors"
-        )
+    n = idx.n
     ranks = idx.indices
     cols = np.array(ranks) - 1
     key = stream_key("order-stat-moments", seed, n)

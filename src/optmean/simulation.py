@@ -28,8 +28,8 @@ from scipy import special
 from ._rng import cell_sums, replicate_chunks, replicate_uniforms, stream_key
 from .estimators import FIELDS_BY_SCENARIO, METHODS, FiveNumberSummary, combine, \
     lookup_method
-from .order_stats import MAX_QUADRATURE_SIZE, SUMMARY_FIELDS, OrderIndexSet, \
-    summary_parts
+from .order_stats import SUMMARY_FIELDS, OrderIndexSet, check_moment_domain, \
+    check_replicates, check_sample_size, summary_parts
 from .weights import Scenario
 
 __all__ = [
@@ -124,21 +124,16 @@ class SimulationConfig:
         object.__setattr__(self, "scenario", Scenario.parse(self.scenario))
         if not self.methods:
             object.__setattr__(self, "methods", default_methods(self.scenario))
-        object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))
+        object.__setattr__(self, "n_grid", tuple(OrderIndexSet.from_size(n).n
+                                                 for n in self.n_grid))
         if not self.n_grid:
             raise ValueError("n_grid must not be empty")
-        for n in self.n_grid:
-            OrderIndexSet.from_size(n)
-        if self.replicates < MIN_REPLICATES:
-            raise ValueError(
-                f"replicates={self.replicates} is below the minimum of "
-                f"{MIN_REPLICATES} needed for stable ratios"
-            )
+        object.__setattr__(self, "replicates", check_replicates(
+            self.replicates, MIN_REPLICATES, "stable ratios"))
         for method in self.methods:
             lookup_method(method, self.scenario)
-        if "optimal_exact" in self.methods and max(self.n_grid) > MAX_QUADRATURE_SIZE:
-            raise ValueError(f"optimal_exact needs quadrature, which supports "
-                             f"n <= {MAX_QUADRATURE_SIZE}; got n={max(self.n_grid)}")
+        if "optimal_exact" in self.methods:
+            check_moment_domain(self.n_grid)
 
 
 @dataclass(frozen=True)
@@ -186,9 +181,7 @@ def replicate_stream(seed: int, spec: DistributionSpec, n: int,
 
 def draw_sample(spec: DistributionSpec, n: int, stream: ReplicateStream) -> np.ndarray:
     """One i.i.d. sample of size n, sorted ascending."""
-    if n < 5:
-        raise ValueError(f"samples must have n >= 5, got {n}")
-    x = spec.quantile(stream.uniforms(n))
+    x = spec.quantile(stream.uniforms(check_sample_size(n)))
     x.sort()
     return x
 
@@ -207,7 +200,7 @@ def summarize(sample, scenario) -> FiveNumberSummary:
     if np.any(np.diff(x) < 0):
         raise ValueError("sample must be sorted ascending")
     fields = {name: float(x[rank[name] - 1]) for name in FIELDS_BY_SCENARIO[scenario]}
-    return FiveNumberSummary(scenario=scenario, n=int(x.size), **fields)
+    return FiveNumberSummary(scenario=scenario, n=x.size, **fields)
 
 
 # ---------------------------------------------------------------------------

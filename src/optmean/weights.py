@@ -18,7 +18,6 @@ Scenarios name which fragment a study reports:
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
@@ -26,7 +25,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import FitConvergenceError, NumericalError, ScenarioError
-from .order_stats import OrderStatMoments
+from .order_stats import OrderStatMoments, check_sample_size
 
 __all__ = [
     "Scenario",
@@ -79,7 +78,7 @@ class WeightSet:
     ``w1`` is the weight on the mid-range for S1 and S3 and on the
     mid-quartile range for S2; ``w2`` (S3 only) is the weight on the
     mid-quartile range. The remaining weight 1 - w1 - w2 falls on the
-    median.
+    median. ``n`` passes `check_sample_size`.
     """
 
     scenario: Scenario
@@ -90,8 +89,7 @@ class WeightSet:
 
     def __post_init__(self):
         object.__setattr__(self, "scenario", Scenario.parse(self.scenario))
-        if self.n < 5:
-            raise ValueError(f"n must be at least 5, got {self.n}")
+        object.__setattr__(self, "n", check_sample_size(self.n))
         if self.source not in ("exact", "approx", "legacy", "custom"):
             raise ValueError(f"unknown weight source {self.source!r}")
         if self.scenario is Scenario.S3:
@@ -193,14 +191,11 @@ def approx_weight(scenario, n: int) -> WeightSet:
     S3: (2.2 / (2.2 + n^0.75), 0.7 - 0.72 / n^0.55)
 
     These are the `_POWER_LAWS` models at their published coefficients.
-    Unlike the exact weights they accept any integer n >= 5 that is finite
-    as a float; below the fitted range they are undefined and refused.
+    Unlike the exact weights they accept any n of `check_sample_size`; below
+    the fitted range they are undefined and refused.
     """
     scenario = Scenario.parse(scenario)
-    n = int(n)
-    if not 5 <= n <= sys.float_info.max:
-        raise ValueError(f"approximate weights need an n >= 5 that is finite as a "
-                         f"float, got {n}")
+    n = check_sample_size(n)
     return WeightSet(scenario, n, *(model(n, *coeffs)
                                     for model, coeffs in _POWER_LAWS[scenario][1]),
                      source="approx")
@@ -302,9 +297,7 @@ def fit_power_law(grid: Sequence[tuple], scenario) -> FitCoefficients:
             raise ValueError(
                 f"scenario {scenario.value} expects rows of length {want}, got {row!r}"
             )
-    n = np.array([float(r[0]) for r in rows])
-    if np.any(n < 5):
-        raise ValueError("grid sample sizes must be at least 5")
+    n = np.array([float(check_sample_size(r[0])) for r in rows])
     ys = [np.array([float(r[k]) for r in rows]) for k in range(1, want)]
     for y in ys:
         if not np.all((y >= 0.0) & (y <= 1.0)):

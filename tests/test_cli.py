@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from optmean import _rng
+from optmean import _rng, cli, estimators, order_stats
 from optmean.cli import EXIT_DATA, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, build_parser, \
     main
 from optmean.estimators import METHODS, SD_METHODS, SUMMARY_METHODS, \
@@ -787,6 +787,33 @@ class TestHugeFlagValues:
         message = captured.err.splitlines()[-1]
         assert message.startswith(f"optmean {argv[0]}: error: ")
         assert message.endswith(ending)
+
+
+class TestMomentDomainFailFast:
+    """A grid the quadrature backend cannot serve is refused as a usage error
+    (exit 2) before any quadrature runs."""
+
+    @pytest.mark.parametrize("argv", [
+        ["weights", "--scenario", "s1", "--grid", "5:505:4"],
+        ["fit", "--scenario", "s1", "--grid", "5:505:100"],
+        ["simulate", "--distribution", "normal", "--scenario", "s1",
+         "--methods", "optimal_exact", "--grid", "5:505:100"],
+    ], ids=["weights", "fit", "simulate"])
+    def test_refused_before_quadrature(self, argv, capsys, monkeypatch):
+        def no_quadrature(*args):
+            raise AssertionError("quadrature ran")
+        monkeypatch.setattr(order_stats, "_moment_once", no_quadrature)
+        # bypass the moment cache, so moments cached by earlier tests cannot
+        # hide a run
+        for module in (cli, estimators):
+            monkeypatch.setattr(module, "moments_quadrature",
+                                order_stats.moments_quadrature.__wrapped__)
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1].endswith("n <= 501, got 505")
 
 
 # an accepted run of each command, with the one JSON key that holds its body

@@ -12,6 +12,7 @@ from optmean._rng import _words_to_uniforms, cell_sums, replicate_chunks, \
     replicate_uniforms, stream_key
 from optmean.errors import ScenarioError
 from optmean import order_stats
+from optmean.estimators import FiveNumberSummary, wan_sd_from_extremes
 from optmean.order_stats import (
     AsymptoticQuantileCov,
     OrderIndexSet,
@@ -22,6 +23,9 @@ from optmean.order_stats import (
     normal_pdf,
     normal_quantile,
 )
+from optmean.simulation import SimulationConfig, distribution, draw_sample, \
+    replicate_stream, run_rmse
+from optmean.weights import WeightSet, approx_weight
 
 # Frozen from a 40-digit inverse-erf evaluation (mpmath, dps=40).
 QUANTILE_ORACLE = {
@@ -123,10 +127,49 @@ class TestDomainTypes:
         assert idx.indices == (1, 3, 5, 7, 9)
         assert idx.q == 2
 
-    @pytest.mark.parametrize("n", [4, 6, 7, 8, 12, 3, 1])
+    @pytest.mark.parametrize("n", [4, 6, 7, 8, 12, 3, 1, 5.5])
     def test_index_set_rejects_non_4q1(self, n):
         with pytest.raises(ScenarioError):
             OrderIndexSet.from_size(n)
+
+
+NORMAL = distribution("normal")
+
+
+class TestCountRules:
+    """A sample size or replicate count is whole or refused with a ValueError,
+    never truncated or passed on; an integral float counts as its int."""
+
+    @pytest.mark.parametrize("call", [
+        lambda: approx_weight("s1", 5.7),
+        lambda: WeightSet("s1", 5.5, 0.3),
+        lambda: FiveNumberSummary("s1", 9.5, median=2.0, minimum=1.0, maximum=3.0),
+        lambda: wan_sd_from_extremes(1.0, 3.0, 9.5),
+        lambda: asymptotic_cov(0.5, 0.5, 5.5),
+        lambda: moments_mc(5, 10_000.9, 1),
+        lambda: SimulationConfig(NORMAL, "s1", n_grid=(5.5,)),
+        lambda: run_rmse(SimulationConfig(NORMAL, "s1", n_grid=(5,), replicates=2000.5)),
+        lambda: draw_sample(NORMAL, 5.5, replicate_stream(0, NORMAL, 5, 0)),
+    ], ids=["approx_weight", "weight_set", "summary", "sd_rule", "asymptotic_cov",
+            "mc_replicates", "simulation_grid", "simulation_replicates", "draw_sample"])
+    def test_refuses_fractional_count(self, call):
+        with pytest.raises(ValueError):
+            call()
+
+    # each result as a repr, so an n of 9.0 where 9 is due also shows
+    @pytest.mark.parametrize("make", [
+        lambda k: OrderIndexSet.from_size(k(9)),
+        lambda k: moments_quadrature.__wrapped__(k(9)),
+        lambda k: moments_mc(k(9), k(20_000), 1),
+        lambda k: approx_weight("s3", k(9)),
+        lambda k: FiveNumberSummary("s1", k(9), median=2.0, minimum=1.0, maximum=3.0),
+        lambda k: run_rmse(SimulationConfig(NORMAL, "s1", n_grid=(k(9),),
+                                            replicates=k(2_000))).rows,
+        lambda k: draw_sample(NORMAL, k(9), replicate_stream(0, NORMAL, 9, 0)).tolist(),
+    ], ids=["index_set", "quadrature", "mc", "approx_weight", "summary", "rmse",
+            "draw_sample"])
+    def test_integral_float_counts_as_its_int(self, make):
+        assert repr(make(float)) == repr(make(int))
 
 
 class TestAsymptoticCov:
@@ -190,7 +233,7 @@ class TestMomentsMc:
         with pytest.raises(ValueError, match="refus"):
             moments_mc(5, 5_000, seed=0)
 
-    @pytest.mark.parametrize("n", [6, 8, 23])
+    @pytest.mark.parametrize("n", [6, 8, 23, 5.5])
     def test_rejects_non_scenario_sizes(self, n):
         with pytest.raises(ScenarioError):
             moments_mc(n, 10_000, seed=0)
@@ -252,7 +295,7 @@ class TestMomentsQuadrature:
         for pair, value in quad.second_moments.items():
             assert abs(value - mc.second_moments[pair]) <= bound
 
-    @pytest.mark.parametrize("n", [7, 12, 4])
+    @pytest.mark.parametrize("n", [7, 12, 4, 5.5])
     def test_rejects_non_scenario_sizes(self, n):
         with pytest.raises(ScenarioError):
             moments_quadrature(n)
