@@ -15,8 +15,6 @@ from dataclasses import dataclass, fields
 from importlib import resources
 from typing import Sequence, Union
 
-from scipy import special
-
 from ._table import cell_float, read_table
 from .estimators import (
     SD_METHODS,
@@ -25,7 +23,7 @@ from .estimators import (
     lookup_method,
     sd_estimate,
 )
-from .order_stats import SUMMARY_FIELDS
+from .order_stats import SUMMARY_FIELDS, _whole, special
 
 __all__ = [
     "FiveNumberPayload",
@@ -94,6 +92,15 @@ class MeanRangePayload:
 Payload = Union[FiveNumberPayload, MeanSdPayload, OddsRatioPayload, MeanRangePayload]
 
 
+def _arm_sizes(n_cases, n_controls) -> tuple[int, int]:
+    """Two arm sizes, as ints: each whole and >= 2, the total finite as a float."""
+    arms = _whole(n_cases), _whole(n_controls)
+    if None in arms or min(arms) < 2 or sum(arms) > sys.float_info.max:
+        raise ValueError(f"arm sizes must be whole and at least 2 with a total that "
+                         f"is finite as a float, got {n_cases!r}/{n_controls!r}")
+    return arms
+
+
 @dataclass(frozen=True)
 class StudyRecord:
     index: int
@@ -104,12 +111,10 @@ class StudyRecord:
     note: str = ""
 
     def __post_init__(self):
-        if not (self.n_cases >= 2 and self.n_controls >= 2
-                and self.n_cases + self.n_controls <= sys.float_info.max):
-            raise ValueError(
-                f"study {self.index}: arm sizes must be at least 2 with a total "
-                f"that is finite as a float, got {self.n_cases}/{self.n_controls}"
-            )
+        try:
+            _arm_sizes(self.n_cases, self.n_controls)
+        except ValueError as exc:
+            raise ValueError(f"study {self.index}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -200,8 +205,7 @@ def cohens_d(mean_cases: float, sd_cases: float, n_cases: int,
     if not (0 < sd_cases < math.inf and 0 < sd_controls < math.inf):
         raise ValueError(f"standard deviations must be positive and finite, "
                          f"got {sd_cases!r} and {sd_controls!r}")
-    if n_cases < 2 or n_controls < 2:
-        raise ValueError("each arm needs at least 2 observations")
+    n_cases, n_controls = _arm_sizes(n_cases, n_controls)
     pooled_var = (((n_cases - 1) * (sd_cases * sd_cases)
                    + (n_controls - 1) * (sd_controls * sd_controls))
                   / (n_cases + n_controls - 2))
@@ -223,6 +227,7 @@ def odds_ratio_to_d(odds_ratio: float, ci: tuple[float, float],
         raise ValueError(f"odds ratio must be positive, got {odds_ratio!r}")
     if not 0 < lo < hi:
         raise ValueError(f"confidence bounds must satisfy 0 < low < high, got {ci!r}")
+    n_cases, n_controls = _arm_sizes(n_cases, n_controls)
     d = math.log(odds_ratio) * _LN_OR_TO_D
     return StudyEffect(d=d, var_d=_smd_variance(d, n_cases, n_controls))
 

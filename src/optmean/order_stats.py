@@ -19,6 +19,9 @@ replicates, seed)`` regardless of how the replicates are chunked.
 
 Every inverse normal CDF, the scalar ``normal_quantile`` of the SD rules
 and the bulk transforms of drawn uniforms alike, is ``scipy.special.ndtri``.
+``special`` here is a handle that imports ``scipy.special`` at its first
+attribute read, so a command that never calls a special function does not
+pay that import (about 0.2 s, half of the CLI's start-up).
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ from functools import cached_property, lru_cache, partial
 from typing import Mapping
 
 import numpy as np
-from scipy import special
 
 from ._rng import cell_sums, replicate_chunks, stream_key
 from .errors import NumericalError, ScenarioError
@@ -54,6 +56,17 @@ __all__ = [
     "MIN_MC_REPLICATES",
     "MAX_QUADRATURE_SIZE",
 ]
+
+
+class _SpecialOnFirstUse:
+    """``scipy.special``, imported when an attribute is first read."""
+
+    def __getattr__(self, name):
+        from scipy import special
+        return getattr(special, name)
+
+
+special = _SpecialOnFirstUse()
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -416,8 +429,9 @@ def moments_quadrature(n: int) -> OrderStatMoments:
 def moments_mc(n: int, replicates: int, seed: int) -> OrderStatMoments:
     """Monte Carlo moments over sorted standard-normal samples.
 
-    Replicate ``r`` draws its ``n`` variates from a dedicated counter window
-    of a Philox stream keyed by ``(seed, n)``, and the per-replicate
+    Replicate ``r`` draws its ``n`` uniforms from a dedicated counter window
+    of a Philox stream keyed by ``(seed, n)``; they are sorted and only the
+    five summary ranks are mapped through ``ndtri``. The per-replicate
     products are summed over fixed 512-replicate cells before the cells are
     added, so the result is bit-identical for a given ``(n, replicates,
     seed)`` no matter how the replicates are chunked.
@@ -430,9 +444,11 @@ def moments_mc(n: int, replicates: int, seed: int) -> OrderStatMoments:
     key = stream_key("order-stat-moments", seed, n)
     cells = []
     for _, u in replicate_chunks(key, replicates, n):
-        z = special.ndtri(u)
-        z.sort(axis=1)
-        zsel = z[:, cols]
+        # as ndtri is increasing this equals transforming, then sorting, every
+        # draw, but for one-ulp dips of ndtri between neighbouring uniforms
+        # near e**-2: a row holding two astride a summary rank would differ
+        u.sort(axis=1)
+        zsel = special.ndtri(u[:, cols])
         # per replicate: z and z z' flattened, then the squares of both
         stats = np.hstack([zsel, (zsel[:, :, None] * zsel[:, None, :]).reshape(-1, 25)])
         cells.append(cell_sums(np.hstack([stats, stats * stats])))

@@ -23,13 +23,12 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
 
 from ._rng import cell_sums, replicate_chunks, replicate_uniforms, stream_key
 from .estimators import FIELDS_BY_SCENARIO, METHODS, FiveNumberSummary, combine, \
     lookup_method
 from .order_stats import SUMMARY_FIELDS, OrderIndexSet, check_moment_domain, \
-    check_replicates, check_sample_size, summary_parts
+    check_replicates, check_sample_size, special, summary_parts
 from .weights import Scenario
 
 __all__ = [

@@ -1,7 +1,7 @@
 """Shared fixtures.
 
 The quadrature moment grids are expensive (the full 5..501 grid takes about
-33 s on a 2-core Xeon; the suite as a whole about two minutes) and are shared
+33 s on a 2-core Xeon; the suite as a whole 104-112 s) and are shared
 session-wide; `moments_quadrature` caches per size, so overlapping fixtures
 never recompute.
 """

@@ -3,10 +3,14 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
 
+import optmean
 from optmean import _rng, cli, estimators, order_stats
 from optmean.cli import EXIT_DATA, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, build_parser, \
     main
@@ -1107,3 +1111,58 @@ class TestSdMethodTable:
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
         assert excinfo.value.code == EXIT_USAGE
+
+
+# Runs in a fresh interpreter, as the pytest process has scipy.special loaded
+# already: after each command it notes whether scipy.special is loaded, and
+# prints the notes and the approx-estimate header as JSON.
+_STARTUP_SCRIPT = """
+import contextlib, io, json, sys
+loaded = {}
+import optmean.cli
+loaded["import"] = "scipy.special" in sys.modules
+commands = json.loads(sys.argv[1])
+for label, argv in commands.items():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = optmean.cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    loaded[label] = [code, "scipy.special" in sys.modules]
+    if label == "estimate":
+        header = out.getvalue().splitlines()[0]
+print(json.dumps({"loaded": loaded, "header": header}))
+"""
+
+
+class TestStartup:
+    """Commands that call no special function leave `scipy.special` unloaded."""
+
+    def test_scipy_special_loads_on_first_use(self, tmp_path):
+        import scipy
+        table = tmp_path / "weights.csv"
+        assert main(["weights", "--scenario", "s3", "--grid", "5:41:4",
+                     "--output", str(table)]) == EXIT_OK
+        commands = {
+            "help": ["--help"],
+            "estimate": ["estimate", "--scenario", "s1", "--n", "25", "--min", "1",
+                         "--median", "5", "--max", "12", "--method", "optimal-approx"],
+            "fit": ["fit", "--scenario", "s3", "--input", str(table)],
+            "simulate": ["simulate", "--distribution", "exponential", "--scenario",
+                         "s1", "--grid", "5:9:4", "--reps", "1000"],
+            "refusal": ["weights", "--scenario", "s1", "--n", "505"],
+            "meta": ["meta", "--profile", "table2"],
+        }
+        src = os.path.dirname(os.path.dirname(optmean.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", _STARTUP_SCRIPT,
+                               json.dumps(commands)], capture_output=True, text=True,
+                              env=env, cwd=tmp_path, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout)
+        assert report["loaded"] == {
+            "import": False, "help": [EXIT_OK, False], "estimate": [EXIT_OK, False],
+            "fit": [EXIT_OK, False], "simulate": [EXIT_OK, False],
+            "refusal": [EXIT_USAGE, False], "meta": [EXIT_OK, True]}
+        assert f"scipy {scipy.__version__}" in report["header"]

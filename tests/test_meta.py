@@ -68,6 +68,19 @@ class TestCohensD:
         with pytest.raises(ValueError):
             cohens_d(0.0, sd_c, n_c, 1.0, sd_t, n_t)
 
+    @pytest.mark.parametrize("n_c,n_t", [(2.5, 2.5), (10, 9.5), (math.nan, 10),
+                                         (10**308, 10**308)])
+    def test_arm_sizes_refused(self, n_c, n_t):
+        # whole, at least 2 each, the total finite as a float
+        with pytest.raises(ValueError, match="arm sizes"):
+            cohens_d(1.0, 1.0, n_c, 2.0, 1.0, n_t)
+        with pytest.raises(ValueError, match="arm sizes"):
+            odds_ratio_to_d(2.0, (1.0, 3.0), n_c, n_t)
+
+    def test_whole_float_arm_sizes_kept(self):
+        assert (cohens_d(1.0, 1.0, 9.0, 2.0, 1.0, 10.0)
+                == cohens_d(1.0, 1.0, 9, 2.0, 1.0, 10))
+
     def test_non_finite_effect_refused(self):
         with pytest.raises(ValueError, match="finite"):
             StudyEffect(d=-math.inf, var_d=math.inf)
@@ -305,6 +318,12 @@ class TestCaseStudy:
             run_case_study(records + [bad], "hozo_as_applied", "hozo")
         assert "study 99" in str(excinfo.value)
         assert "tiny arms" in str(excinfo.value)
+
+    @pytest.mark.parametrize("n_cases,n_controls",
+                             [(2.5, 3.5), (1, 10), (10**308, 10**308)])
+    def test_record_arm_sizes_refused(self, n_cases, n_controls):
+        with pytest.raises(ValueError, match="study 1: arm sizes"):
+            StudyRecord(1, "a", n_cases, n_controls, MeanSdPayload(1, 1, 2, 1))
 
     def test_unknown_methods_rejected(self):
         records = load_bundled_studies()

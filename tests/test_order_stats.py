@@ -256,6 +256,33 @@ class TestMomentsMc:
         assert small_chunks.second_moments == base.second_moments
         assert small_chunks.std_error == base.std_error
 
+    # 10,000 and 20,000 replicates end in a short chunk whose last cell is
+    # short; 16,384 is two whole chunks
+    @pytest.mark.parametrize("n,replicates,seed", [
+        (5, 10_000, 1), (5, 20_000, 7081), (37, 10_000, 2), (69, 20_000, 1),
+        (101, 10_000, 7081), (101, 16_384, 2), (501, 10_000, 1), (501, 20_000, 2)])
+    def test_matches_transform_then_sort(self, n, replicates, seed):
+        # moments_mc sorts the uniforms and maps five ranks through ndtri;
+        # this maps every draw, sorts, then selects
+        ranks = OrderIndexSet.from_size(n).indices
+        cols = np.array(ranks) - 1
+        cells = []
+        for _, u in replicate_chunks(stream_key("order-stat-moments", seed, n),
+                                     replicates, n):
+            z = np.sort(special.ndtri(u), axis=1)[:, cols]
+            per_rep = np.hstack([z, (z[:, :, None] * z[:, None, :]).reshape(-1, 25)])
+            cells.append(cell_sums(np.hstack([per_rep, per_rep * per_rep])))
+        t = float(replicates)
+        sums = np.concatenate(cells).sum(axis=0) / t
+        mean2 = sums[5:30].reshape(5, 5)
+        se = np.sqrt(np.maximum(sums[30:] - sums[:30] ** 2, 0.0) / t)
+        m = moments_mc(n, replicates, seed)
+        assert m.means == dict(zip(ranks, sums[:5].tolist()))
+        assert m.second_moments == {(i, j): float(mean2[a, b])
+                                    for a, i in enumerate(ranks)
+                                    for b, j in enumerate(ranks) if i <= j}
+        assert m.std_error == float(se.max())
+
     def test_positive_second_moments_and_psd(self):
         m = moments_mc(25, 50_000, seed=5)
         for i in m.index_set.indices:
