@@ -359,7 +359,7 @@ class TestMomentsQuadrature:
             eigvals = np.linalg.eigvalsh(m.summary_covariance())
             assert eigvals.min() >= -1e-10
 
-    @pytest.mark.parametrize("n", [5, 389, 501])
+    @pytest.mark.parametrize("n", [5, 389, 477, 501])
     def test_ladder_matches_finest_rung(self, n):
         # the accepted rung must agree with a fixed 81-panel evaluation
         m = moments_quadrature(n)
@@ -371,6 +371,46 @@ class TestMomentsQuadrature:
             ranks, power = ((i,), 2) if i == j else ((i, j), 1)
             ref = order_stats._moment_once(n, ranks, power, finest)
             assert abs(value - ref) <= 1e-10
+
+    def test_every_integral_accepted_at_second_rung(self, monkeypatch):
+        # counts, not times: a kernel change that climbs the ladder fails here
+        calls = {}
+        moment_once = order_stats._moment_once
+
+        def counting(n, ranks, power, panels):
+            calls.setdefault((n, ranks, power), []).append(panels)
+            return moment_once(n, ranks, power, panels)
+
+        monkeypatch.setattr(order_stats, "_moment_once", counting)
+        sizes = (5, 129, 253, 377, 501)
+        for n in sizes:
+            order_stats.moments_quadrature.__wrapped__(n)
+        assert len(calls) == 20 * len(sizes)
+        for panels in calls.values():
+            assert panels == list(order_stats._PANEL_LADDER[:2])
+
+
+class TestRankSupport:
+    """``_rank_support(i, n)`` leaves 1e-20 of Z_(i)'s mass in each tail,
+    checked with the Beta form of the order-statistic CDF, P(Z_(i) <= x) =
+    I_Phi(x)(i, n + 1 - i), and its mirror for the upper tail."""
+
+    EPS = 1e-20
+
+    @pytest.mark.parametrize("n", [5, 129, 501])
+    def test_each_tail_holds_its_share(self, n):
+        for i in OrderIndexSet.from_size(n).indices:
+            lo, hi = order_stats._rank_support(i, n)
+            below = special.betainc(i, n + 1 - i, special.ndtr(lo))
+            above = special.betainc(n + 1 - i, i, special.ndtr(-hi))
+            for end, mass, clamp in ((lo, below, -10.0), (hi, above, 10.0)):
+                assert mass <= self.EPS * (1 + 1e-6)
+                if end != clamp:
+                    assert mass >= self.EPS * (1 - 1e-6)
+
+    def test_minimum_ends_below_zero_at_largest_size(self):
+        # P(Z_(1) > 0) = 2**-501, far below the 1e-20 tail
+        assert order_stats._rank_support(1, 501)[1] < 0.0
 
 
 class TestCdfGap:
