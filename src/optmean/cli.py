@@ -26,6 +26,7 @@ import sys
 import numpy
 import scipy
 
+from . import __version__
 from ._table import cell_float, read_table
 from .errors import FitConvergenceError, NumericalError
 from .estimators import METHODS, SD_METHODS, SUMMARY_METHODS, Estimate, \
@@ -107,7 +108,6 @@ def _reading():
 def _emit(args, settings: dict, fields, rows, document=None, footer=()):
     """Write the configuration header, then the CSV table and its ``footer``
     lines, or the JSON ``document`` (default ``{"rows": [...]}``)."""
-    from . import __version__
     if args.format == "json":
         body = document or {"rows": [dict(zip(fields, row)) for row in rows]}
         text = json.dumps({"command": args.command, "version": __version__,

@@ -1,5 +1,7 @@
 """Shared exception types."""
 
+__all__ = ["ScenarioError", "NumericalError", "FitConvergenceError"]
+
 
 class ScenarioError(ValueError):
     """A summary, weight set, or sample size does not fit the requested scenario."""

@@ -1,5 +1,6 @@
 """Sampling, summarisation, and the relative-MSE protocol."""
 
+import functools
 import math
 
 import numpy as np
@@ -205,3 +206,78 @@ class TestRunRmse:
                               n_grid=(9,))
         report = run_rmse(config)
         assert {r.method for r in report.rows} == {CONTROL_METHOD, "optimal_exact"}
+
+
+# An oracle for `run_rmse` that shares no code with the package: PCG64 draws
+# from numpy's own samplers (not Philox windows through an inverse CDF),
+# `np.sort`, and each estimator written out from its published formula on the
+# summary (a, q1, m, q3, b) of a sample of size n = 4Q + 1.
+_ORACLE_SAMPLERS = {
+    "normal": (50.0, lambda rng, size: rng.normal(50.0, 17.0, size)),
+    "exponential": (0.1, lambda rng, size: rng.exponential(0.1, size)),
+}
+
+
+def _s3_approx(a, q1, m, q3, b, n):
+    w1, w2 = 2.2 / (2.2 + n ** 0.75), 0.7 - 0.72 / n ** 0.55
+    return w1 * (a + b) / 2 + w2 * (q1 + q3) / 2 + (1 - w1 - w2) * m
+
+
+_ORACLE_ESTIMATORS = {
+    "s1": {
+        # Hozo et al. 2005: (a + 2m + b)/4 up to n = 25, the median above
+        "hozo": lambda a, q1, m, q3, b, n: (a + 2 * m + b) / 4 if n <= 25 else m,
+        "optimal_approx": lambda a, q1, m, q3, b, n: (
+            4 / (4 + n ** 0.75) * (a + b) / 2 + n ** 0.75 / (4 + n ** 0.75) * m),
+    },
+    "s2": {
+        # Wan et al. 2014: (q1 + m + q3)/3
+        "wan": lambda a, q1, m, q3, b, n: (q1 + m + q3) / 3,
+        "optimal_approx": lambda a, q1, m, q3, b, n: (
+            (0.7 + 0.39 / n) * (q1 + q3) / 2 + (0.3 - 0.39 / n) * m),
+    },
+    "s3": {
+        # Bland 2015: (a + 2 q1 + 2m + 2 q3 + b)/8
+        "bland": lambda a, q1, m, q3, b, n: (a + 2 * q1 + 2 * m + 2 * q3 + b) / 8,
+        "optimal_approx": _s3_approx,
+    },
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_rmse(kind, n, replicates, seed):
+    """{(scenario, method): (relative MSE, its delta-method standard error)}."""
+    mu, sampler = _ORACLE_SAMPLERS[kind]
+    x = np.sort(sampler(np.random.default_rng(seed), (replicates, n)), axis=1)
+    q = (n - 1) // 4
+    summary = (x[:, 0], x[:, q], x[:, 2 * q], x[:, 3 * q], x[:, n - 1], n)
+    control = (x.mean(axis=1) - mu) ** 2
+    out = {}
+    for scenario, methods in _ORACLE_ESTIMATORS.items():
+        for method, estimator in methods.items():
+            err = (estimator(*summary) - mu) ** 2
+            ratio = err.sum() / control.sum()
+            resid = err - ratio * control
+            se = math.sqrt(resid.var(ddof=1) / replicates) / control.mean()
+            out[scenario, method] = (float(ratio), se)
+    return out
+
+
+class TestIndependentOracle:
+    """`run_rmse` agrees with the oracle within 4 combined standard errors
+    on every default method; a miss is a finding, not a tolerance to widen."""
+
+    @pytest.mark.parametrize("kind", sorted(_ORACLE_SAMPLERS))
+    @pytest.mark.parametrize("scenario", sorted(_ORACLE_ESTIMATORS))
+    def test_relative_mse_matches_oracle(self, kind, scenario):
+        replicates, seed = 20_000, 1505
+        report = run_rmse(SimulationConfig(
+            distribution=distribution(kind), scenario=scenario, n_grid=(25, 101),
+            replicates=replicates, seed=seed))
+        rows = [r for r in report.rows if r.method != CONTROL_METHOD]
+        assert {r.method for r in rows} == set(_ORACLE_ESTIMATORS[scenario])
+        z = {}
+        for row in rows:
+            rmse, se = _oracle_rmse(kind, row.n, replicates, seed)[scenario, row.method]
+            z[row.n, row.method] = (row.rmse - rmse) / math.hypot(row.mc_std_error, se)
+        assert max(abs(v) for v in z.values()) <= 4.0, z
