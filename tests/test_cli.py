@@ -1118,7 +1118,7 @@ class TestSdMethodTable:
 # prints the notes and the approx-estimate header as JSON.
 _STARTUP_SCRIPT = """
 import contextlib, io, json, sys
-loaded = {}
+loaded, header = {}, None
 import optmean.cli
 loaded["import"] = "scipy.special" in sys.modules
 commands = json.loads(sys.argv[1])
@@ -1134,6 +1134,15 @@ for label, argv in commands.items():
         header = out.getvalue().splitlines()[0]
 print(json.dumps({"loaded": loaded, "header": header}))
 """
+
+
+def _startup_report(commands: dict, cwd) -> dict:
+    src = os.path.dirname(os.path.dirname(optmean.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", _STARTUP_SCRIPT, json.dumps(commands)],
+                          capture_output=True, text=True, env=env, cwd=cwd, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
 
 
 class TestStartup:
@@ -1154,15 +1163,15 @@ class TestStartup:
             "refusal": ["weights", "--scenario", "s1", "--n", "505"],
             "meta": ["meta", "--profile", "table2"],
         }
-        src = os.path.dirname(os.path.dirname(optmean.__file__))
-        env = dict(os.environ, PYTHONPATH=src)
-        proc = subprocess.run([sys.executable, "-c", _STARTUP_SCRIPT,
-                               json.dumps(commands)], capture_output=True, text=True,
-                              env=env, cwd=tmp_path, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        report = json.loads(proc.stdout)
+        report = _startup_report(commands, tmp_path)
         assert report["loaded"] == {
             "import": False, "help": [EXIT_OK, False], "estimate": [EXIT_OK, False],
             "fit": [EXIT_OK, False], "simulate": [EXIT_OK, False],
             "refusal": [EXIT_USAGE, False], "meta": [EXIT_OK, True]}
         assert f"scipy {scipy.__version__}" in report["header"]
+
+    def test_beta_draws_leave_scipy_special_unloaded(self, tmp_path):
+        report = _startup_report({"simulate": [
+            "simulate", "--distribution", "beta", "--scenario", "s1", "--grid", "5:9:4",
+            "--reps", "1000"]}, tmp_path)
+        assert report["loaded"] == {"import": False, "simulate": [EXIT_OK, False]}

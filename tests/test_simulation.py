@@ -40,6 +40,23 @@ class TestDistributionSpecs:
         with pytest.raises(ValueError, match="unknown distribution kind"):
             DistributionSpec("cauchy", (("scale", 1.0),), 0.0)
 
+    @pytest.mark.parametrize("params", [
+        (("mu", 1.0),),
+        (("mu", 1.0), ("sigma", 2.0), ("shape", 3.0)),
+        (("mu", 1.0), ("mu", 2.0)),
+        (("location", 1.0), ("scale", 2.0)),
+    ])
+    def test_spec_refuses_parameters_its_inverse_cdf_does_not_take(self, params):
+        with pytest.raises(ValueError, match="normal takes the parameters"):
+            DistributionSpec("normal", params, 0.8)
+
+    @pytest.mark.parametrize("alpha,beta", [
+        (9.5, 4.0), (9.0, 0.0), (0.5, 1.0), (65.0, 4.0), (-1.0, 4.0),
+        (math.nan, 4.0), (9.0, math.inf)])
+    def test_beta_refuses_parameters_off_its_kernel_domain(self, alpha, beta):
+        with pytest.raises(ValueError, match="whole numbers from 1 to 64"):
+            DistributionSpec("beta", (("alpha", alpha), ("beta", beta)), 0.5)
+
     def test_quantile_reads_params_by_name(self):
         spec = distribution("weibull")
         swapped = DistributionSpec("weibull", spec.params[::-1], spec.true_mean)
@@ -64,6 +81,72 @@ class TestDistributionSpecs:
         pooled = np.concatenate(pooled)
         se = pooled.std(ddof=1) / math.sqrt(pooled.size)
         assert abs(pooled.mean() - spec.true_mean) <= se_slack * se
+
+
+def _beta(alpha, beta):
+    return DistributionSpec("beta", (("alpha", alpha), ("beta", beta)),
+                            alpha / (alpha + beta))
+
+
+class TestBetaQuantile:
+    """The numpy Beta inverse CDF against 50-digit mpmath and closed forms."""
+
+    # 600 log-spaced points in each tail, out to the extreme uniforms 2^-54 and
+    # 1 - 2^-53 of `_rng`, 600 random points, then 0.5 and its neighbours
+    U = np.concatenate([
+        np.logspace(-54, -1, 600, base=2.0),
+        1.0 - np.logspace(-53, -1, 600, base=2.0),
+        np.random.default_rng(2026).random(600),
+        [2.0 ** -54, 1.0 - 2.0 ** -53, np.nextafter(0.5, 0.0), 0.5,
+         np.nextafter(0.5, 1.0)],
+    ])
+
+    @staticmethod
+    def _ulps_from_mpmath(spec, u):
+        """x = spec.quantile(u), and |x - the 50-digit quantile| in ulp of x
+        wherever x < 1."""
+        mp = pytest.importorskip("mpmath")
+        a, b = (int(value) for _, value in sorted(spec.params))
+        x = spec.quantile(u)
+        keep = x < 1.0  # the top uniforms of Beta(a >= 3, 1) round to 1
+        with mp.workdps(50):
+            inv_beta = 1 / mp.beta(a, b)
+            # the Newton distance from x to the root of I_x(a, b) = u
+            return x, np.array([
+                abs(float((mp.betainc(a, b, 0, xi, regularized=True) - ui)
+                          / (inv_beta * mp.mpf(xi) ** (a - 1) * (1 - mp.mpf(xi)) ** (b - 1))))
+                / math.ulp(xi) for ui, xi in zip(u[keep].tolist(), x[keep].tolist())])
+
+    def test_within_two_ulp_of_mpmath(self):
+        x, ulps = self._ulps_from_mpmath(distribution("beta"), self.U)
+        assert np.all(np.isfinite(x)) and np.all((x > 0) & (x < 1))
+        order = np.argsort(self.U, kind="stable")
+        assert np.all(np.diff(x[order]) >= 0)
+        worst = int(np.argmax(ulps))
+        assert ulps[worst] <= 2.0, (self.U[worst], ulps[worst])
+
+    @pytest.mark.parametrize("alpha,beta", [(1, 1), (1, 64), (64, 1), (2, 64), (64, 64)])
+    def test_converges_across_the_domain(self, alpha, beta):
+        # rounding in the beta - 1 products grows the error with (beta - 1) / alpha,
+        # to 32 ulp at Beta(1, 64) on these points; a Halley run that has not
+        # converged is off by 1e6 ulp or more
+        _, ulps = self._ulps_from_mpmath(_beta(float(alpha), float(beta)), self.U[::3])
+        assert ulps.max() <= 48.0
+
+    @pytest.mark.parametrize("alpha", [1.0, 2.0, 4.0, 16.0, 64.0])
+    def test_beta_a_1_is_the_root_u_to_the_one_over_a(self, alpha):
+        # exact exponents 1/a, so numpy's power is the reference within 1 ulp
+        x = _beta(alpha, 1.0).quantile(self.U)
+        want = self.U ** (1.0 / alpha)
+        assert np.all(np.abs(x - want) <= 3 * np.spacing(want))
+
+    def test_blocks_and_shape_do_not_change_bits(self, monkeypatch):
+        from optmean import simulation
+        u = np.linspace(1e-3, 1 - 1e-3, 7 * 13).reshape(7, 13)
+        whole = distribution("beta").quantile(u)
+        monkeypatch.setattr(simulation, "_BETA_BLOCK", 5)
+        assert whole.shape == (7, 13)
+        assert np.array_equal(distribution("beta").quantile(u), whole)
 
 
 class TestSummarize:
