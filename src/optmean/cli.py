@@ -152,10 +152,6 @@ _VALUE_COLUMNS = ("min", "q1", "median", "q3", "max")
 _SUMMARY_COLUMNS = ("scenario", "n", *_VALUE_COLUMNS)
 
 
-def _summary_from_values(scenario, n, values) -> FiveNumberSummary:
-    return FiveNumberSummary(scenario=scenario, n=n, **dict(zip(SUMMARY_FIELDS, values)))
-
-
 def _run_estimate_method(args, summary: FiveNumberSummary) -> Estimate:
     method = args.method
     if method in _SD_METHODS:
@@ -170,17 +166,15 @@ def _run_estimate_method(args, summary: FiveNumberSummary) -> Estimate:
     return estimate_mean(summary, _method_name(method), moments)
 
 
-def _estimate_row(summary: FiveNumberSummary, estimate: Estimate) -> list:
+def _estimate_row(args, scenario, n, values) -> list:
+    """The output row of one summary's estimate; ``values`` by `_VALUE_COLUMNS`."""
+    summary = FiveNumberSummary(scenario=scenario, n=n,
+                                **dict(zip(SUMMARY_FIELDS, values)))
+    estimate = _run_estimate_method(args, summary)
     ws = estimate.weight_set
     return [summary.scenario.value, summary.n, *summary.values(), estimate.method,
             estimate.value,
             *((None,) * 4 if ws is None else (ws.w1, ws.w2, ws.median_weight, ws.source))]
-
-
-def _estimate_record(args, record) -> list:
-    values = [cell_float(record[key]) for key in _VALUE_COLUMNS]
-    summary = _summary_from_values(record["scenario"], int(record["n"]), values)
-    return _estimate_row(summary, _run_estimate_method(args, summary))
 
 
 def _cmd_estimate(args):
@@ -191,15 +185,16 @@ def _cmd_estimate(args):
     if args.method == "optimal-exact":
         check_moment_domain((), _mc_reps(args))
     if args.input is not None:
-        rows = _read_table(args.input, "summary", _SUMMARY_COLUMNS,
-                           lambda record: _estimate_record(args, record))
+        # a row's values are read before its n, so a bad value is named first
+        rows = _read_table(args.input, "summary", _SUMMARY_COLUMNS, lambda record: (
+            _estimate_row(args, values=[cell_float(record[k]) for k in _VALUE_COLUMNS],
+                          scenario=record["scenario"], n=int(record["n"]))))
         _emit(args, {**settings, "input": args.input}, out_fields, rows)
         return
     if args.scenario is None or args.n is None:
         raise ValueError("--scenario and --n are required without --input")
-    values = [getattr(args, column) for column in _VALUE_COLUMNS]
-    summary = _summary_from_values(args.scenario, args.n, values)
-    row = _estimate_row(summary, _run_estimate_method(args, summary))
+    row = _estimate_row(args, args.scenario, args.n,
+                        [getattr(args, column) for column in _VALUE_COLUMNS])
     _emit(args, settings, out_fields, [row], {"result": dict(zip(out_fields, row))})
 
 

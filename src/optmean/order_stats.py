@@ -84,7 +84,6 @@ MAX_QUADRATURE_SIZE = 501
 _PANEL_LADDER = (8, 12, 18, 27, 41)
 _PANEL_TOL = 1e-8
 _SUPPORT_EPS = 1e-20
-_QUAD_ERROR_FLOOR = 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +202,7 @@ class OrderStatMoments:
     ``means[i] = E(Z_(i))`` and ``second_moments[(i, j)] = E(Z_(i) Z_(j))``
     for ranks i <= j drawn from the index set of ``n``. ``std_error`` is a
     single 1-sigma bound covering every entry (the Monte Carlo standard
-    error, or a zero-equivalent tolerance for quadrature).
+    error, or quadrature's 1e-8 panel acceptance tolerance).
     """
 
     n: int
@@ -409,23 +408,15 @@ def moments_quadrature(n: int) -> OrderStatMoments:
     """
     check_moment_domain((n,))
     idx = OrderIndexSet.from_size(n)
-    n = idx.n
-
-    def integrate(ranks, power):
-        return _adaptive(partial(_moment_once, n, ranks, power))
-
     ranks = idx.indices
-    means = {i: integrate((i,), 1) for i in ranks}
-    second = {(i, j): integrate((i,), 2) if i == j else integrate((i, j), 1)
-              for a, i in enumerate(ranks) for j in ranks[a:]}
-    worst = max(err for _, err in (*means.values(), *second.values()))
-    return OrderStatMoments(
-        n=n,
-        means={i: value for i, (value, _) in means.items()},
-        second_moments={pair: value for pair, (value, _) in second.items()},
-        backend="quadrature",
-        std_error=max(worst, _QUAD_ERROR_FLOOR),
-    )
+    pairs = [(i, j) for a, i in enumerate(ranks) for j in ranks[a:]]
+    # (ranks, power) of each mean, then of each second moment
+    integrals = [((i,), 1) for i in ranks] + [
+        ((i,), 2) if i == j else ((i, j), 1) for i, j in pairs]
+    values = [_adaptive(partial(_moment_once, idx.n, *args))[0] for args in integrals]
+    return OrderStatMoments(n=idx.n, means=dict(zip(ranks, values)),
+                            second_moments=dict(zip(pairs, values[len(ranks):])),
+                            backend="quadrature", std_error=_PANEL_TOL)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ Replicate i draws its observations from a dedicated counter window of a
 stream keyed by (seed, distribution, n), and every sum runs over the fixed
 512-replicate cells of `_rng.cell_sums`, so reports are bit-identical
 however the work is chunked or parallelised. One table holds each
-distribution's parameters, mean and inverse CDF:
+distribution's parameters and their domain, its mean and its inverse CDF:
 
     normal, lognormal   ``scipy.special.ndtri`` (scaled, or exponentiated)
     beta                `_beta_quantile`: numpy arithmetic, no scipy
@@ -140,17 +140,32 @@ def _beta_quantile(u: np.ndarray, alpha: float, beta: float) -> np.ndarray:
     return x.reshape(u.shape)
 
 
-# kind -> (canonical params, true mean, inverse CDF taking the params by name)
+def _positive(value) -> bool:
+    return 0.0 < value < math.inf
+
+
+# kind -> (canonical params, true mean, inverse CDF, parameter domain, the
+# domain in words); the inverse CDF and the domain take the params by name
 _DISTRIBUTIONS = {
     "normal": ((("mu", 50.0), ("sigma", 17.0)), 50.0,
-               lambda u, mu, sigma: mu + sigma * special.ndtri(u)),
+               lambda u, mu, sigma: mu + sigma * special.ndtri(u),
+               lambda mu, sigma: math.isfinite(mu) and _positive(sigma),
+               "a finite mu and a positive finite sigma"),
     "lognormal": ((("location", 4.0), ("scale", 0.3)), math.exp(4.0 + 0.5 * 0.3 ** 2),
-                  lambda u, location, scale: np.exp(location + scale * special.ndtri(u))),
-    "beta": ((("alpha", 9.0), ("beta", 4.0)), 9.0 / 13.0, _beta_quantile),
+                  lambda u, location, scale: np.exp(location + scale * special.ndtri(u)),
+                  lambda location, scale: math.isfinite(location) and _positive(scale),
+                  "a finite location and a positive finite scale"),
+    "beta": ((("alpha", 9.0), ("beta", 4.0)), 9.0 / 13.0, _beta_quantile,
+             lambda alpha, beta: all(float(v).is_integer() and 1 <= v <= _BETA_MAX
+                                     for v in (alpha, beta)),
+             f"whole numbers from 1 to {_BETA_MAX}"),
     "exponential": ((("rate", 10.0),), 0.1,
-                    lambda u, rate: -np.log1p(-u) / rate),
+                    lambda u, rate: -np.log1p(-u) / rate,
+                    lambda rate: _positive(rate), "a positive finite rate"),
     "weibull": ((("shape", 2.0), ("scale", 35.0)), 35.0 * math.gamma(1.5),
-                lambda u, shape, scale: scale * (-np.log1p(-u)) ** (1.0 / shape)),
+                lambda u, shape, scale: scale * (-np.log1p(-u)) ** (1.0 / shape),
+                lambda shape, scale: _positive(shape) and _positive(scale),
+                "a positive finite shape and scale"),
 }
 
 DISTRIBUTION_KINDS = tuple(_DISTRIBUTIONS)
@@ -163,8 +178,9 @@ class DistributionSpec:
     ``kind`` is one of `DISTRIBUTION_KINDS` and ``params`` a tuple of
     (name, value) pairs naming each parameter of its inverse CDF once; use
     `distribution` to get the canonical parameterizations used throughout the
-    evaluation study. A beta's alpha and beta must be whole numbers from 1 to
-    64, the domain of `_beta_quantile`.
+    evaluation study. The parameters must lie in the kind's domain: a
+    positive finite sigma, scale, rate or shape, a finite mu or location,
+    and for a beta whole numbers from 1 to 64, the domain of `_beta_quantile`.
     """
 
     kind: str
@@ -178,11 +194,10 @@ class DistributionSpec:
         names = sorted(name for name, _ in self.params)
         if names != takes:
             raise ValueError(f"{self.kind} takes the parameters {takes}, not {names}")
-        if self.kind == "beta" and not all(
-                float(value).is_integer() and 1 <= value <= _BETA_MAX
-                for _, value in self.params):
-            raise ValueError(f"beta parameters must be whole numbers from 1 to "
-                             f"{_BETA_MAX}, not {dict(self.params)}")
+        *_, inside, domain = _DISTRIBUTIONS[self.kind]
+        if not inside(**dict(self.params)):
+            raise ValueError(f"{self.kind} parameters must be {domain}, "
+                             f"not {dict(self.params)}")
 
     def quantile(self, u: np.ndarray) -> np.ndarray:
         """Inverse CDF transform of uniforms in the open interval (0, 1).
@@ -201,7 +216,7 @@ def distribution(kind: str) -> DistributionSpec:
     weibull(shape=2, scale=35).
     """
     kind = str(kind).strip().lower()
-    params, true_mean, _ = _DISTRIBUTIONS.get(kind, ((), 0.0, None))
+    params, true_mean = _DISTRIBUTIONS.get(kind, ((), 0.0))[:2]
     return DistributionSpec(kind, params, true_mean)  # refuses an unknown kind
 
 
@@ -258,31 +273,20 @@ class RmseReport:
 # sampling
 
 
-@dataclass(frozen=True)
-class ReplicateStream:
-    """Handle on one replicate's window of a counter-based uniform stream."""
-
-    key: tuple[int, int]
-    replicate: int
-
-    def uniforms(self, draws: int) -> np.ndarray:
-        return replicate_uniforms(self.key, self.replicate, 1, draws)[0]
-
-
 def _spec_key(seed: int, spec: DistributionSpec, n: int) -> tuple[int, int]:
     flat = [p for pair in spec.params for p in pair]
     return stream_key("simulation", seed, spec.kind, *flat, n)
 
 
 def replicate_stream(seed: int, spec: DistributionSpec, n: int,
-                     replicate: int) -> ReplicateStream:
-    """The stream used for a given replicate of a simulation config."""
-    return ReplicateStream(key=_spec_key(seed, spec, n), replicate=replicate)
+                     replicate: int) -> tuple[tuple[int, int], int]:
+    """``(key, replicate)``: the counter window of a replicate of a config."""
+    return _spec_key(seed, spec, n), replicate
 
 
-def draw_sample(spec: DistributionSpec, n: int, stream: ReplicateStream) -> np.ndarray:
-    """One i.i.d. sample of size n, sorted ascending."""
-    x = spec.quantile(stream.uniforms(check_sample_size(n)))
+def draw_sample(spec: DistributionSpec, n: int, stream) -> np.ndarray:
+    """One i.i.d. sample of size n from a `replicate_stream`, sorted ascending."""
+    x = spec.quantile(replicate_uniforms(*stream, 1, check_sample_size(n))[0])
     x.sort()
     return x
 

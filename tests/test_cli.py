@@ -16,7 +16,7 @@ from optmean.cli import EXIT_DATA, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, build_pa
     main
 from optmean.estimators import METHODS, SD_METHODS, SUMMARY_METHODS, \
     FiveNumberSummary, estimate_mean, sd_estimate
-from optmean.errors import ScenarioError
+from optmean.errors import NumericalError, ScenarioError
 from optmean.meta import bundled_table1, cohens_d, load_bundled_studies, \
     read_study_csv, run_case_study
 from optmean.weights import Scenario
@@ -139,6 +139,22 @@ class TestEstimate:
         # same input path, so the same comment and column header lines
         assert out.splitlines() == row_out.splitlines()[:-1] + per_row
         assert len(calls) == 2 + len(lines)
+
+    def test_no_scenario_or_n_without_input_is_usage_error(self, capsys):
+        for argv in (["--n", "25"], ["--scenario", "s1"]):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["estimate", *argv, "--min", "1", "--median", "2", "--max", "3"])
+            assert excinfo.value.code == EXIT_USAGE
+            assert capsys.readouterr().err.endswith(
+                "error: --scenario and --n are required without --input\n")
+
+    def test_batch_row_with_bad_value_and_bad_n_names_the_value(self, tmp_path, capsys):
+        src = tmp_path / "summaries.csv"
+        src.write_text("scenario,n,min,q1,median,q3,max\ns1,abc,xyz,,2,,3\n")
+        code, _, err = run_cli(["estimate", "--input", str(src)], capsys)
+        assert code == EXIT_DATA
+        assert err == ("optmean estimate: input error: line 2: could not convert "
+                       "string to float: 'xyz'\n")
 
     def test_batch_mode_bad_row_is_data_error(self, tmp_path, capsys):
         src = tmp_path / "summaries.csv"
@@ -399,6 +415,17 @@ class TestFit:
         assert fit["residual"] < 1e-3
         assert fit["n_points"] == 15
 
+    def test_numerical_failure_on_flags_is_exit_4(self, monkeypatch, capsys):
+        def diverges(grid, scenario):
+            raise NumericalError("power-law fit diverged")
+
+        monkeypatch.setattr(cli, "fit_power_law", diverges)
+        code, out, err = run_cli(["fit", "--scenario", "s2", "--grid", "5:17:4"],
+                                 capsys)
+        assert code == EXIT_NUMERICAL
+        assert out == ""
+        assert err == "optmean fit: numerical failure: power-law fit diverged\n"
+
     def test_fit_from_weight_table_file(self, tmp_path, capsys):
         table = tmp_path / "weights.csv"
         code, out, _ = run_cli([
@@ -572,6 +599,17 @@ class TestMeta:
         assert code == EXIT_DATA
         assert out == ""
         assert err.startswith("optmean meta: input error: could not convert 1 study:\n  ")
+
+    def test_fivenum_study_without_scenario_is_data_error(self, tmp_path, capsys):
+        src = tmp_path / "studies.csv"
+        src.write_text("index,label,n_cases,n_controls,payload_type,"
+                       "f01,f02,f03,f04,f05,f06,f07,f08,f09,f10,f11,note\n"
+                       "1,x,40,40,fivenum,,2.25,,16.0,,74.25,9.0,,27.25,,132.5,\n")
+        code, out, err = run_cli(["meta", "--input", str(src)], capsys)
+        assert code == EXIT_DATA
+        assert out == ""
+        assert err == ("optmean meta: input error: line 2: fivenum payload needs "
+                       "a scenario in f01\n")
 
     def test_malformed_study_file_is_data_error(self, tmp_path, capsys):
         src = tmp_path / "studies.csv"

@@ -1,0 +1,100 @@
+"""Byte identity of the CLI against the stored corpus ``tests/data/corpus.json``.
+
+Every entry replays one argv through `cli.main` in a temporary working
+directory holding the corpus's ``--input`` files, and must give the stored
+exit code and stdout (and, for a refusal, stderr) byte for byte. Where the
+running python, numpy or scipy version differs from the one the corpus was
+made under, the version header and the JSON ``libraries`` block are masked,
+every number is compared within `RTOL` and `ATOL` (a library's special
+functions may move the last bits), and stderr is compared by its last line
+(argparse's usage lines may wrap differently). `make_corpus.py` regenerates
+the corpus.
+"""
+
+import json
+import math
+import platform
+import re
+
+import numpy
+import pytest
+import scipy
+
+from make_corpus import CORPUS, COLUMNS, run, write_inputs
+from optmean.cli import SEED_ENV_VAR
+
+with open(CORPUS, encoding="utf-8") as _handle:
+    CORPUS_DATA = json.load(_handle)
+
+RUNNING = {"python": platform.python_version(), "numpy": numpy.__version__,
+           "scipy": scipy.__version__}
+SAME_LIBRARIES = CORPUS_DATA["made_under"] == RUNNING
+
+RTOL = 1e-6
+ATOL = 1e-12
+
+_LIBRARIES = re.compile(r'\(python [^)]*\)|"libraries": \{[^}]*\}')
+_NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|\bnan\b|\binf\b")
+
+
+def matches(want: str, got: str, exact: bool) -> bool:
+    """``got`` equals ``want``; unless ``exact``, with the library versions
+    masked and each number within `RTOL` and `ATOL`."""
+    if exact:
+        return got == want
+    want, got = _LIBRARIES.sub("<libraries>", want), _LIBRARIES.sub("<libraries>", got)
+    if _NUMBER.split(want) != _NUMBER.split(got):
+        return False
+    pairs = zip(_NUMBER.findall(want), _NUMBER.findall(got))
+    return all(a == b or math.isclose(float(a), float(b), rel_tol=RTOL, abs_tol=ATOL)
+               for a, b in pairs)
+
+
+def _last_line(text: str) -> str:
+    return text.rstrip("\n").rpartition("\n")[2]
+
+
+@pytest.mark.parametrize("entry", CORPUS_DATA["entries"], ids=[
+    f"{k:02d}-{entry['argv'][0]}" for k, entry in enumerate(CORPUS_DATA["entries"])])
+def test_cli_output_matches_corpus(entry, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", COLUMNS)
+    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+    write_inputs(tmp_path, CORPUS_DATA["inputs"])
+    code, out, err = run(entry["argv"])
+    assert code == entry["exit"]
+    assert matches(entry["stdout"], out, SAME_LIBRARIES), out
+    if SAME_LIBRARIES:
+        assert err == entry.get("stderr", "")
+    else:
+        assert _last_line(err) == _last_line(entry.get("stderr", ""))
+
+
+def test_corpus_covers_every_command_format_and_refusal():
+    entries = CORPUS_DATA["entries"]
+    seen = {(e["argv"][0], "json" if e["stdout"].startswith("{") else "csv")
+            for e in entries if e["exit"] == 0}
+    commands = ("estimate", "weights", "fit", "simulate", "meta")
+    assert seen == {(c, f) for c in commands for f in ("csv", "json")}
+    assert {e["exit"] for e in entries} == {0, 2, 3}
+
+
+class TestMaskedComparison:
+    """The comparison used when the running library versions differ."""
+
+    WANT = ('# optmean 0.1.0 weights (python 3.11.7, numpy 2.4.6, scipy 1.17.1)\n'
+            'n,exact_w1\n5,0.551626219\n')
+
+    def test_versions_and_last_digits_are_forgiven(self):
+        got = self.WANT.replace("3.11.7", "3.12.1").replace("0.551626219", "0.5516262191")
+        assert matches(self.WANT, got, exact=False)
+        assert not matches(self.WANT, got, exact=True)
+
+    def test_json_libraries_block_is_masked(self):
+        want = '"libraries": {\n  "numpy": "2.4.6"\n},\n"value": 2.5\n'
+        assert matches(want, want.replace("2.4.6", "1.26.4"), exact=False)
+
+    @pytest.mark.parametrize("old, new", [
+        ("0.551626219", "0.5516"), ("weights", "weight"), ("5,", "9,")])
+    def test_a_moved_number_or_word_is_not(self, old, new):
+        assert not matches(self.WANT, self.WANT.replace(old, new), exact=False)

@@ -542,6 +542,11 @@ class TestUniformStreams:
         with pytest.raises(ValueError, match="2\\*\\*63 Philox counters"):
             next(replicate_chunks(key, 10**400, 1))
 
+    @pytest.mark.parametrize("count,draws", [(0, 7), (-1, 7), (1, 0), (1, -3)])
+    def test_empty_or_negative_request_is_refused(self, count, draws):
+        with pytest.raises(ValueError, match="count and draws must be positive"):
+            replicate_uniforms(stream_key("unit", 6), 0, count, draws)
+
     def test_distinct_keys_give_distinct_streams(self):
         a = replicate_uniforms(stream_key("a", 1), 0, 2, 8)
         b = replicate_uniforms(stream_key("b", 1), 0, 2, 8)

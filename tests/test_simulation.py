@@ -57,6 +57,37 @@ class TestDistributionSpecs:
         with pytest.raises(ValueError, match="whole numbers from 1 to 64"):
             DistributionSpec("beta", (("alpha", alpha), ("beta", beta)), 0.5)
 
+    @pytest.mark.parametrize("kind,params", [
+        ("normal", (("mu", 50.0), ("sigma", math.nan))),
+        ("normal", (("mu", 50.0), ("sigma", 0.0))),
+        ("normal", (("mu", 50.0), ("sigma", -17.0))),
+        ("normal", (("mu", 50.0), ("sigma", math.inf))),
+        ("normal", (("mu", math.nan), ("sigma", 17.0))),
+        ("normal", (("mu", math.inf), ("sigma", 17.0))),
+        ("lognormal", (("location", -math.inf), ("scale", 0.3))),
+        ("lognormal", (("location", math.nan), ("scale", 0.3))),
+        ("lognormal", (("location", 4.0), ("scale", 0.0))),
+        ("lognormal", (("location", 4.0), ("scale", math.nan))),
+        ("exponential", (("rate", -1.0),)),
+        ("exponential", (("rate", 0.0),)),
+        ("exponential", (("rate", math.nan),)),
+        ("weibull", (("shape", 0.0), ("scale", 35.0))),
+        ("weibull", (("shape", math.nan), ("scale", 35.0))),
+        ("weibull", (("shape", 2.0), ("scale", -35.0))),
+        ("weibull", (("shape", 2.0), ("scale", math.nan))),
+    ])
+    def test_refuses_parameters_off_the_kind_domain(self, kind, params):
+        # such specs used to run: NaN sigma gave NaN rmse rows, a negative
+        # rate drew negative values
+        with pytest.raises(ValueError, match=f"{kind} parameters must be"):
+            DistributionSpec(kind, params, 1.0)
+
+    @pytest.mark.parametrize("kind", ["normal", "lognormal", "beta",
+                                      "exponential", "weibull"])
+    def test_canonical_specs_lie_in_their_domains(self, kind):
+        spec = distribution(kind)
+        assert DistributionSpec(spec.kind, spec.params, spec.true_mean) == spec
+
     def test_quantile_reads_params_by_name(self):
         spec = distribution("weibull")
         swapped = DistributionSpec("weibull", spec.params[::-1], spec.true_mean)
