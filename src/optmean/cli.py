@@ -157,11 +157,8 @@ def _run_estimate_method(args, summary: FiveNumberSummary) -> Estimate:
     if method in _SD_METHODS:
         return sd_estimate(summary, method.removesuffix("-sd"))
     if method == "weighted":
-        if args.weight is None:
-            raise ValueError("--method weighted requires --weight")
-        weights = WeightSet(summary.scenario, summary.n, args.weight, args.w2,
-                            source="custom")
-        return mean_weighted(summary, weights)
+        return mean_weighted(summary, WeightSet(summary.scenario, summary.n, args.weight,
+                                                args.w2, source="custom"))
     moments = _moments(args, summary.n) if method == "optimal-exact" else None
     return estimate_mean(summary, _method_name(method), moments)
 
@@ -182,8 +179,17 @@ def _cmd_estimate(args):
                 "backend": args.backend, "reps": args.reps}
     out_fields = list(_SUMMARY_COLUMNS) + [
         "method", "value", "w1", "w2", "median_weight", "weight_source"]
+    # every flag is checked before an --input row is read
     if args.method == "optimal-exact":
         check_moment_domain((), _mc_reps(args))
+    if args.method == "weighted":
+        if args.weight is None:
+            raise ValueError("--method weighted requires --weight")
+        # an S3 set, --w2 or 0, checks the rule every scenario's weights follow
+        WeightSet(Scenario.S3, 5, args.weight, args.w2 or 0.0, source="custom")
+    given = [f"--{key}" for key in _SUMMARY_COLUMNS if getattr(args, key) is not None]
+    if args.input is not None and given:
+        raise ValueError(f"--input reads the summaries; drop {', '.join(given)}")
     if args.input is not None:
         # a row's values are read before its n, so a bad value is named first
         rows = _read_table(args.input, "summary", _SUMMARY_COLUMNS, lambda record: (
@@ -204,22 +210,10 @@ def _cmd_estimate(args):
 def _moments(args, n: int):
     if args.backend != "mc":
         return moments_quadrature(n)
-    # a batch repeats n; one main() call draws each (n, reps, seed) once
-    key = (n, args.reps, args.seed)
-    if key not in args.mc_moments:
-        args.mc_moments[key] = moments_mc(*key)
-    return args.mc_moments[key]
-
-
-def _weight_table_rows(args, scenario, grid):
-    rows = []
-    for n in grid:
-        moments = _moments(args, n)
-        exact = optimal_weights(moments, scenario)
-        approx = approx_weight(scenario, n)
-        rows.append([n, scenario.value, exact.w1, exact.w2,
-                     approx.w1, approx.w2, args.backend, moments.std_error])
-    return rows
+    # one main() call has one --reps and one --seed, so a batch draws each n once
+    if n not in args.mc_moments:
+        args.mc_moments[n] = moments_mc(n, args.reps, args.seed)
+    return args.mc_moments[n]
 
 
 _WEIGHT_FIELDS = ("n", "scenario", "exact_w1", "exact_w2", "approx_w1",
@@ -234,7 +228,13 @@ def _cmd_weights(args):
     check_moment_domain(grid, _mc_reps(args))
     settings = {"scenario": scenario.value, "backend": args.backend,
                 "seed": args.seed, "reps": _mc_reps(args)}
-    _emit(args, settings, _WEIGHT_FIELDS, _weight_table_rows(args, scenario, grid))
+    rows = []
+    for n in grid:
+        moments = _moments(args, n)
+        exact, approx = optimal_weights(moments, scenario), approx_weight(scenario, n)
+        rows.append([n, scenario.value, exact.w1, exact.w2,
+                     approx.w1, approx.w2, args.backend, moments.std_error])
+    _emit(args, settings, _WEIGHT_FIELDS, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -267,8 +267,8 @@ def _cmd_fit(args):
         check_moment_domain(grid_ns, _mc_reps(args))
         settings.update({"backend": args.backend, "grid": args.grid,
                          "reps": _mc_reps(args)})
-        rows = _weight_table_rows(args, scenario, grid_ns)
-        grid = [(r[0], *(w for w in r[2:4] if w is not None)) for r in rows]
+        grid = [(n, *optimal_weights(_moments(args, n), scenario).part_weights[:-1])
+                for n in grid_ns]
         coeff = fit_power_law(grid, scenario)
     result = {"scenario": scenario.value, "model": coeff.model, "c1": coeff.c1,
               "c2": coeff.c2, "c3": coeff.c3, "c4": coeff.c4,
@@ -308,7 +308,8 @@ def _cmd_meta(args):
     settings = {"input": args.input or "<bundled table1.csv>",
                 "profile": args.profile, "mean_method": mean_method,
                 "sd_method": sd_method}
-    with _reading():
+    # a bundled study the chosen methods cannot convert is the flags' fault
+    with _reading() if args.input is not None else contextlib.nullcontext():
         records = load_bundled_studies() if args.input is None \
             else read_study_csv(args.input)
         result = run_case_study(records, mean_method, sd_method)
@@ -317,8 +318,8 @@ def _cmd_meta(args):
     for record, effect in zip(records, payload["effects"]):
         effect.update({key: getattr(record, key) for key in study_fields})
     fields = (*study_fields, "d", "var_d", "weight", "ci_low", "ci_high")
-    rows = [[*(getattr(record, key) for key in study_fields), effect.d, effect.var_d,
-             effect.weight, *effect.ci95] for record, effect in zip(records, result.effects)]
+    rows = [[*(effect[key] for key in fields[:-2]), *effect["ci95"]]
+            for effect in payload["effects"]]
     low, high = result.pooled_ci95
     stats = {"pooled_d": result.pooled_d, "pooled_ci_low": low, "pooled_ci_high": high,
              **{key: getattr(result, key)
@@ -351,12 +352,12 @@ def build_parser() -> argparse.ArgumentParser:
     seed = _default_seed()
     scenarios = tuple(scenario.value for scenario in Scenario)
 
-    def common(p, default_format="csv"):
+    def common(p, func, default_format="csv"):
         p.add_argument("--seed", type=int, default=seed,
                        help=f"RNG seed (default {seed}; env {SEED_ENV_VAR})")
         p.add_argument("--output", default=None, help="write here instead of stdout")
         p.add_argument("--format", choices=("csv", "json"), default=default_format)
-        p.set_defaults(parser=p)
+        p.set_defaults(func=func, parser=p)
 
     def moment_flags(p, backend_help=None):
         p.add_argument("--backend", choices=("quad", "mc"), default="quad",
@@ -375,16 +376,14 @@ def build_parser() -> argparse.ArgumentParser:
     moment_flags(p, "moment backend for --method optimal-exact")
     p.add_argument("--input", default=None,
                    help=f"batch mode: CSV of summaries ({','.join(_SUMMARY_COLUMNS)})")
-    common(p)
-    p.set_defaults(func=_cmd_estimate)
+    common(p, _cmd_estimate)
 
     p = sub.add_parser("weights", help="tabulate exact and approximate weights")
     p.add_argument("--scenario", required=True, choices=scenarios)
     p.add_argument("--n", type=int)
     p.add_argument("--grid", help="inclusive start:stop:step, e.g. 5:501:4")
     moment_flags(p)
-    common(p)
-    p.set_defaults(func=_cmd_weights)
+    common(p, _cmd_weights)
 
     p = sub.add_parser("fit", help="refit the power-law weight approximations")
     p.add_argument("--scenario", required=True, choices=scenarios)
@@ -393,8 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", default="5:101:4",
                    help="grid to regenerate when --input is absent")
     moment_flags(p)
-    common(p, default_format="json")
-    p.set_defaults(func=_cmd_fit)
+    common(p, _cmd_fit, default_format="json")
 
     p = sub.add_parser("simulate", help="relative-MSE comparison of estimators")
     p.add_argument("--distribution", required=True, choices=DISTRIBUTION_KINDS)
@@ -404,8 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "default: control, legacy, optimal-approx")
     p.add_argument("--grid", default="5:101:4")
     p.add_argument("--reps", type=int, default=DEFAULT_SIM_REPS)
-    common(p)
-    p.set_defaults(func=_cmd_simulate)
+    common(p, _cmd_simulate)
 
     p = sub.add_parser("meta", help="pool study effect sizes")
     p.add_argument("--input", default=None,
@@ -414,8 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mean-method", type=_method_name, choices=SUMMARY_METHODS,
                    default=None, help="override the profile's mean estimator")
     p.add_argument("--sd-method", choices=tuple(SD_METHODS), default=None)
-    common(p)
-    p.set_defaults(func=_cmd_meta)
+    common(p, _cmd_meta)
 
     return parser
 

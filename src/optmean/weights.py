@@ -218,6 +218,8 @@ def weighted_mse(weights: WeightSet, moments: OrderStatMoments) -> float:
 # ---------------------------------------------------------------------------
 # power-law fitting
 
+_GN_MAX_ITER, _GN_STEP_TOL = 200, 1e-12
+
 
 @dataclass(frozen=True)
 class FitCoefficients:
@@ -237,7 +239,7 @@ class FitCoefficients:
     residual: float = 0.0
 
 
-def _gauss_newton(model, n, y, theta0, max_iter=200, step_tol=1e-12):
+def _gauss_newton(model, n, y, theta0):
     """Damped Gauss-Newton on weight residuals; returns (theta, sse, converged).
 
     Central-difference Jacobian, step 1e-6 * max(1, |theta_k|); a candidate
@@ -246,7 +248,7 @@ def _gauss_newton(model, n, y, theta0, max_iter=200, step_tol=1e-12):
     theta = np.asarray(theta0, dtype=float)
     resid = model(n, *theta) - y
     sse = float(resid @ resid)
-    for _ in range(max_iter):
+    for _ in range(_GN_MAX_ITER):
         dt = 1e-6 * np.maximum(1.0, np.abs(theta))
         j = np.column_stack([(model(n, *(theta + dk * e)) - model(n, *(theta - dk * e)))
                              / (2.0 * dk) for dk, e in zip(dt, np.eye(len(theta)))])
@@ -269,7 +271,7 @@ def _gauss_newton(model, n, y, theta0, max_iter=200, step_tol=1e-12):
             return theta, sse, False
         moved = np.max(np.abs(scale * step) / (1.0 + np.abs(theta)))
         theta, resid, sse = cand, cand_resid, cand_sse
-        if moved < step_tol:
+        if moved < _GN_STEP_TOL:
             return theta, sse, True
     return theta, sse, False
 

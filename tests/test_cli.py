@@ -148,6 +148,48 @@ class TestEstimate:
             assert capsys.readouterr().err.endswith(
                 "error: --scenario and --n are required without --input\n")
 
+    S3_ROWS = "scenario,n,min,q1,median,q3,max\ns3,29,1,4.5,6,9,20\n"
+
+    @pytest.mark.parametrize("weights, message", [
+        ([], "--method weighted requires --weight"),
+        (["--weight", "2"], "weights must lie in [0, 1], got 2.0"),
+        (["--weight", "0.7", "--w2", "0.5"],
+         "weights must leave a nonnegative share for the median")])
+    def test_batch_weight_flags_are_usage_errors(self, weights, message, tmp_path,
+                                                 capsys):
+        # checked once, before any row: a usage error, not a row's data error
+        src = tmp_path / "summaries.csv"
+        src.write_text(self.S3_ROWS)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["estimate", "--input", str(src), "--method", "weighted", *weights])
+        assert excinfo.value.code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(f"optmean estimate: error: {message}\n")
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--scenario", "s2"), ("--n", "9"), ("--min", "1"), ("--q1", "1"),
+        ("--median", "3"), ("--q3", "4"), ("--max", "5")])
+    def test_summary_flag_with_input_is_usage_error(self, flag, value, capsys):
+        # refused before the file is opened, so a missing file is not reached
+        with pytest.raises(SystemExit) as excinfo:
+            main(["estimate", "--input", "no-such-file.csv", flag, value])
+        assert excinfo.value.code == EXIT_USAGE
+        assert capsys.readouterr().err.endswith(
+            f"error: --input reads the summaries; drop {flag}\n")
+
+    def test_ignored_summary_flags_are_named_with_input(self, tmp_path, capsys):
+        src = tmp_path / "summaries.csv"
+        src.write_text("scenario,n,min,q1,median,q3,max\ns1,25,2.25,,16,,74.25\n")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["estimate", "--input", str(src), "--scenario", "s2", "--n", "9",
+                  "--median", "3"])
+        assert excinfo.value.code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(
+            "error: --input reads the summaries; drop --scenario, --n, --median\n")
+
     def test_batch_row_with_bad_value_and_bad_n_names_the_value(self, tmp_path, capsys):
         src = tmp_path / "summaries.csv"
         src.write_text("scenario,n,min,q1,median,q3,max\ns1,abc,xyz,,2,,3\n")
@@ -599,6 +641,29 @@ class TestMeta:
         assert code == EXIT_DATA
         assert out == ""
         assert err.startswith("optmean meta: input error: could not convert 1 study:\n  ")
+
+    def test_bundled_study_the_flags_cannot_convert_is_usage_error(self, capsys):
+        # the refused value is the --mean-method choice; the bundled table is
+        # not the user's to edit
+        with pytest.raises(SystemExit) as excinfo:
+            main(["meta", "--mean-method", "optimal-exact"])
+        assert excinfo.value.code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "optmean meta: error: could not convert 3 studies:\n" in captured.err
+        for label in ("study 1 (Davies 1985)", "study 2 (Grange 1985)",
+                      "study 3 (Davies 1987)"):
+            assert f"\n  {label}: sample size must satisfy n = 4Q + 1" in captured.err
+
+    def test_input_study_the_flags_cannot_convert_is_data_error(self, tmp_path,
+                                                                capsys):
+        src = tmp_path / "studies.csv"
+        src.write_text(bundled_table1().read_text(encoding="utf-8"))
+        code, out, err = run_cli(["meta", "--input", str(src), "--mean-method",
+                                  "optimal-exact"], capsys)
+        assert code == EXIT_DATA
+        assert out == ""
+        assert err.startswith("optmean meta: input error: could not convert 3 studies:\n")
 
     def test_fivenum_study_without_scenario_is_data_error(self, tmp_path, capsys):
         src = tmp_path / "studies.csv"
