@@ -5,16 +5,20 @@ on the quantities computed here: means and second moments of the five
 summary order statistics ``Z_(1) <= Z_(Q+1) <= Z_(2Q+1) <= Z_(3Q+1) <=
 Z_(n)`` of a standard-normal sample of size ``n = 4Q + 1``.
 
-Two backends are provided. ``moments_quadrature`` integrates one density
-with adaptive Gauss-Legendre panels and is the deterministic reference: the
-joint density of ranks r_1 < ... < r_k of n (k = 1 or 2) is n! / prod
-Gamma(g) * prod phi(x) * prod mass^(g - 1), with gaps g the differences of
-(0, r_1, ..., r_k, n + 1) and the Phi-masses below, between and above the
-points (David & Nagaraja, Order Statistics, 3rd ed., sec. 2.2). The end
-masses are ``log_ndtr(x_1)`` and ``log_ndtr(-x_k)``; a mass between
-neighbours is one erfc difference, mirrored to Phi(-x) - Phi(-y) when
-x + y > 0. ``moments_mc`` averages over sorted standard-normal samples drawn
-from counter-based streams, so its output is reproducible for a fixed ``(n,
+Two backends are provided. ``moments_quadrature`` is the deterministic
+reference. Its whole domain, n = 5..501 step 4, is integrated once and shipped
+as the table ``data/quad_moments.csv`` (written by
+``tests/make_quad_table.py``), and a call serves the table's row, read at the
+first call. ``moments_quadrature.__wrapped__`` is the integrating kernel. It
+integrates one density with adaptive Gauss-Legendre panels: the joint density
+of ranks r_1 < ... < r_k of n (k = 1 or 2) is n! / prod Gamma(g) * prod
+phi(x) * prod mass^(g - 1), with gaps g the differences of (0, r_1, ...,
+r_k, n + 1) and the Phi-masses below, between and above the points (David &
+Nagaraja, Order Statistics, 3rd ed., sec. 2.2). The end masses are
+``log_ndtr(x_1)`` and ``log_ndtr(-x_k)``; a mass between neighbours is one
+erfc difference, mirrored to Phi(-x) - Phi(-y) when x + y > 0.
+``moments_mc`` averages over sorted standard-normal samples drawn from
+counter-based streams, so its output is reproducible for a fixed ``(n,
 replicates, seed)`` regardless of how the replicates are chunked.
 
 Every inverse normal CDF, the scalar ``normal_quantile`` of the SD rules
@@ -30,12 +34,14 @@ import math
 import operator
 import sys
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache, partial, update_wrapper
+from importlib import resources
 from typing import Mapping
 
 import numpy as np
 
 from ._rng import cell_sums, replicate_chunks, stream_key
+from ._table import cell_float, read_table
 from .errors import NumericalError, ScenarioError
 
 __all__ = [
@@ -399,25 +405,75 @@ def _adaptive(evaluate) -> tuple[float, float]:
     )
 
 
+def _rank_pairs(ranks) -> list:
+    """The pairs (i, j), i <= j, of ``ranks``, row-major: the order of the
+    quadrature's second moments and of the table's columns."""
+    return [(i, j) for a, i in enumerate(ranks) for j in ranks[a:]]
+
+
+# the table's columns: n, the five means, then the fifteen second moments
+_QUAD_COLUMNS = ("n", *(f"mean_{name}" for name in SUMMARY_FIELDS),
+                 *(f"m2_{a}_{b}" for a, b in _rank_pairs(SUMMARY_FIELDS)))
+
+
+def _quad_moments(idx: OrderIndexSet, values) -> OrderStatMoments:
+    """The quadrature moments of ``idx`` from its 20 ``values``, in the
+    order of `_QUAD_COLUMNS` after n."""
+    ranks = idx.indices
+    return OrderStatMoments(n=idx.n, means=dict(zip(ranks, values)),
+                            second_moments=dict(zip(_rank_pairs(ranks), values[len(ranks):])),
+                            backend="quadrature", std_error=_PANEL_TOL)
+
+
+def _quad_table_file():
+    """Resource handle on the shipped quadrature moment table."""
+    return resources.files("optmean").joinpath("data/quad_moments.csv")
+
+
+def _read_quad_table(handle) -> dict:
+    """The 20 moments of each size, by n, of the quadrature table open on ``handle``."""
+    return dict(read_table(handle, "quadrature moment", _QUAD_COLUMNS, lambda record: (
+        int(record["n"]), [cell_float(record[name], name) for name in _QUAD_COLUMNS[1:]])))
+
+
 @lru_cache(maxsize=None)
+def _quad_table() -> dict:
+    """The shipped table, read once."""
+    with _quad_table_file().open("r", encoding="utf-8", newline="") as handle:
+        return _read_quad_table(handle)
+
+
+def _served_from_table(kernel):
+    """``kernel`` with the shipped table as its cache: a call refuses what the
+    kernel refuses, then builds the moments from the size's table row, once
+    per size. ``cache_info``/``cache_clear`` count and drop the built moments
+    (the table, read at the first call, stays); ``__wrapped__`` is ``kernel``."""
+    @lru_cache(maxsize=None)
+    def served(n):
+        check_moment_domain((n,))
+        idx = OrderIndexSet.from_size(n)
+        return _quad_moments(idx, _quad_table()[idx.n])
+    return update_wrapper(served, kernel)
+
+
+@_served_from_table
 def moments_quadrature(n: int) -> OrderStatMoments:
     """Deterministic moments of the five summary order statistics.
 
-    Supports 5 <= n <= 501 with n = 4Q + 1. Every mean and second moment is
-    integrated independently (no symmetry shortcuts), so the mirror-symmetry
-    identities of normal order statistics remain genuine checks on the output.
+    Supports 5 <= n <= 501 with n = 4Q + 1. A call reads them from the shipped
+    table; ``moments_quadrature.__wrapped__(n)`` integrates them. Every mean
+    and second moment is integrated independently (no symmetry shortcuts), so
+    the mirror-symmetry identities of normal order statistics remain genuine
+    checks on the output.
     """
     check_moment_domain((n,))
     idx = OrderIndexSet.from_size(n)
     ranks = idx.indices
-    pairs = [(i, j) for a, i in enumerate(ranks) for j in ranks[a:]]
     # (ranks, power) of each mean, then of each second moment
     integrals = [((i,), 1) for i in ranks] + [
-        ((i,), 2) if i == j else ((i, j), 1) for i, j in pairs]
-    values = [_adaptive(partial(_moment_once, idx.n, *args))[0] for args in integrals]
-    return OrderStatMoments(n=idx.n, means=dict(zip(ranks, values)),
-                            second_moments=dict(zip(pairs, values[len(ranks):])),
-                            backend="quadrature", std_error=_PANEL_TOL)
+        ((i,), 2) if i == j else ((i, j), 1) for i, j in _rank_pairs(ranks)]
+    return _quad_moments(idx, [_adaptive(partial(_moment_once, idx.n, *args))[0]
+                               for args in integrals])
 
 
 # ---------------------------------------------------------------------------

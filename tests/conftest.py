@@ -1,9 +1,9 @@
 """Shared fixtures.
 
-The quadrature moment grids are expensive (the full 5..501 grid takes about
-33 s on a 2-core Xeon; the suite as a whole 104-112 s) and are shared
-session-wide; `moments_quadrature` caches per size, so overlapping fixtures
-never recompute.
+The quadrature moment grids are shared session-wide. `moments_quadrature`
+reads them from the shipped table and builds each size once, so overlapping
+fixtures never rebuild; `tests/test_quad_table.py` is where every size is
+integrated, once, to check the table.
 """
 
 import pytest

@@ -1278,3 +1278,36 @@ class TestStartup:
             "simulate", "--distribution", "beta", "--scenario", "s1", "--grid", "5:9:4",
             "--reps", "1000"]}, tmp_path)
         assert report["loaded"] == {"import": False, "simulate": [EXIT_OK, False]}
+
+    def test_quadrature_moments_leave_scipy_special_unloaded(self, tmp_path):
+        report = _startup_report({
+            "weights": ["weights", "--scenario", "s3", "--backend", "quad",
+                        "--grid", "5:501:4"],
+            "fit": ["fit", "--scenario", "s3", "--grid", "5:101:4"],
+            "exact": ["estimate", "--scenario", "s3", "--n", "29", "--min", "1",
+                      "--q1", "4.5", "--median", "6", "--q3", "9", "--max", "20",
+                      "--method", "optimal-exact", "--backend", "quad"],
+        }, tmp_path)
+        assert report["loaded"] == {"import": False, "weights": [EXIT_OK, False],
+                                    "fit": [EXIT_OK, False], "exact": [EXIT_OK, False]}
+
+    def test_moment_cache_keeps_its_surface_and_kernel(self, monkeypatch):
+        # the benchmark's tracer counts cache_info().hits and calls cache_clear()
+        integrals = set()
+        moment_once = order_stats._moment_once
+
+        def counting(n, ranks, power, panels):
+            integrals.add((n, ranks, power))
+            return moment_once(n, ranks, power, panels)
+
+        monkeypatch.setattr(order_stats, "_moment_once", counting)
+        quadrature = order_stats.moments_quadrature
+        quadrature.cache_clear()
+        served = quadrature(9)
+        assert quadrature(9) is served
+        assert quadrature.cache_info().hits == 1 and not integrals
+        kernel = quadrature.__wrapped__(9)
+        assert len(integrals) == 20
+        assert kernel.means == pytest.approx(served.means, rel=0, abs=1e-12)
+        assert kernel.second_moments == pytest.approx(served.second_moments, rel=0,
+                                                      abs=1e-12)
