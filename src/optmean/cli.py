@@ -1,10 +1,11 @@
 """Command-line interface.
 
-Subcommands: estimate, weights, fit, simulate, meta. Every output embeds
-the effective configuration (seed, replicate counts, backend) in comment
-lines or a JSON config block, so any result can be regenerated from its
-own header. Runs with the same flags and seed produce byte-identical
-output.
+Subcommands: estimate, weights, fit, simulate, meta. Every output's header
+(its ``#`` lines, or the JSON ``config`` block) names each flag but
+``--output`` and ``--format`` that has a value, with its effective value:
+the header is the invocation that regenerates the output. Every command
+names its seed; `meta` on the bundled table names no input. A flag the
+chosen path would not read is refused, and the same flags give the same bytes.
 
 Exit codes follow where a refused value came from: 0 success, 2 a flag
 (usage error), 3 an ``--input`` file or the output, 4 a numerical failure
@@ -29,7 +30,7 @@ import scipy
 from . import __version__
 from ._table import cell_float, read_table
 from .errors import FitConvergenceError, NumericalError
-from .estimators import METHODS, SD_METHODS, SUMMARY_METHODS, Estimate, \
+from .estimators import METHODS, SD_METHODS, SUMMARY_METHODS, \
     FiveNumberSummary, estimate_mean, mean_weighted, sd_estimate
 from .meta import PROFILES, load_bundled_studies, read_study_csv, run_case_study
 from .order_stats import SUMMARY_FIELDS, check_moment_domain, moments_mc, \
@@ -42,6 +43,7 @@ from .weights import Scenario, WeightSet, approx_weight, fit_power_law, \
 DEFAULT_SEED = 7081
 SEED_ENV_VAR = "OPTMEAN_SEED"
 DEFAULT_WEIGHT_REPS = 2_000_000
+DEFAULT_FIT_GRID = "5:101:4"
 DEFAULT_SIM_REPS = 100_000
 
 EXIT_OK = 0
@@ -105,19 +107,29 @@ def _reading():
         raise _InputError(exc) from exc
 
 
-def _emit(args, settings: dict, fields, rows, document=None, footer=()):
-    """Write the configuration header, then the CSV table and its ``footer``
-    lines, or the JSON ``document`` (default ``{"rows": [...]}``)."""
+def _refuse_unread(reader: str, given: dict):
+    """Refuse the flags that ``given`` maps to True, which are read only ``reader``."""
+    flags = [flag for flag, is_given in given.items() if is_given]
+    if flags:
+        raise ValueError(f"{', '.join(flags)}: read only {reader}")
+
+
+def _emit(args, fields, rows, document=None, footer=()):
+    """Write the header (each flag of ``args`` but --output and --format that is
+    not None, by `str`, so ``--key=value`` reruns it), then the CSV table and its
+    ``footer`` lines, or the JSON ``document`` (default ``{"rows": [...]}``)."""
+    flags = {action.dest for action in args.parser._actions} - {"output", "format"}
+    config = {k: v for k, v in vars(args).items() if k in flags and v is not None}
     if args.format == "json":
         body = document or {"rows": [dict(zip(fields, row)) for row in rows]}
         text = json.dumps({"command": args.command, "version": __version__,
-                           "config": {**settings, "libraries": _LIBRARIES}, **body},
+                           "config": {**config, "libraries": _LIBRARIES}, **body},
                           indent=2, sort_keys=True) + "\n"
     else:
         libraries = ", ".join(f"{name} {v}" for name, v in _LIBRARIES.items())
         buffer = io.StringIO()
         buffer.write(f"# optmean {__version__} {args.command} ({libraries})\n")
-        buffer.writelines(f"# {key}={_fmt(settings[key])}\n" for key in sorted(settings))
+        buffer.writelines(f"# {key}={config[key]}\n" for key in sorted(config))
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(fields)
         writer.writerows([_fmt(v) for v in row] for row in rows)
@@ -136,11 +148,6 @@ def _read_table(path, what: str, columns: tuple, parse_row) -> list:
         return read_table(handle, what, columns, parse_row)
 
 
-def _mc_reps(args):
-    """``--reps`` under ``--backend mc``; None (quadrature) otherwise."""
-    return args.reps if args.backend == "mc" else None
-
-
 # ---------------------------------------------------------------------------
 # estimate
 
@@ -152,22 +159,18 @@ _VALUE_COLUMNS = ("min", "q1", "median", "q3", "max")
 _SUMMARY_COLUMNS = ("scenario", "n", *_VALUE_COLUMNS)
 
 
-def _run_estimate_method(args, summary: FiveNumberSummary) -> Estimate:
-    method = args.method
-    if method in _SD_METHODS:
-        return sd_estimate(summary, method.removesuffix("-sd"))
-    if method == "weighted":
-        return mean_weighted(summary, WeightSet(summary.scenario, summary.n, args.weight,
-                                                args.w2, source="custom"))
-    moments = _moments(args, summary.n) if method == "optimal-exact" else None
-    return estimate_mean(summary, _method_name(method), moments)
-
-
 def _estimate_row(args, scenario, n, values) -> list:
     """The output row of one summary's estimate; ``values`` by `_VALUE_COLUMNS`."""
     summary = FiveNumberSummary(scenario=scenario, n=n,
                                 **dict(zip(SUMMARY_FIELDS, values)))
-    estimate = _run_estimate_method(args, summary)
+    if args.method in _SD_METHODS:
+        estimate = sd_estimate(summary, args.method.removesuffix("-sd"))
+    elif args.method == "weighted":
+        estimate = mean_weighted(summary, WeightSet(
+            summary.scenario, summary.n, args.weight, args.w2, source="custom"))
+    else:
+        moments = _moments(args, summary.n) if args.method == "optimal-exact" else None
+        estimate = estimate_mean(summary, _method_name(args.method), moments)
     ws = estimate.weight_set
     return [summary.scenario.value, summary.n, *summary.values(), estimate.method,
             estimate.value,
@@ -175,18 +178,22 @@ def _estimate_row(args, scenario, n, values) -> list:
 
 
 def _cmd_estimate(args):
-    settings = {"method": args.method, "seed": args.seed,
-                "backend": args.backend, "reps": args.reps}
     out_fields = list(_SUMMARY_COLUMNS) + [
         "method", "value", "w1", "w2", "median_weight", "weight_source"]
     # every flag is checked before an --input row is read
     if args.method == "optimal-exact":
-        check_moment_domain((), _mc_reps(args))
+        check_moment_domain((), args.reps)
+    else:
+        _refuse_unread("by --method optimal-exact",
+                       {"--backend mc": args.backend == "mc"})
     if args.method == "weighted":
         if args.weight is None:
             raise ValueError("--method weighted requires --weight")
         # an S3 set, --w2 or 0, checks the rule every scenario's weights follow
         WeightSet(Scenario.S3, 5, args.weight, args.w2 or 0.0, source="custom")
+    else:
+        _refuse_unread("by --method weighted", {"--weight": args.weight is not None,
+                                             "--w2": args.w2 is not None})
     given = [f"--{key}" for key in _SUMMARY_COLUMNS if getattr(args, key) is not None]
     if args.input is not None and given:
         raise ValueError(f"--input reads the summaries; drop {', '.join(given)}")
@@ -195,13 +202,13 @@ def _cmd_estimate(args):
         rows = _read_table(args.input, "summary", _SUMMARY_COLUMNS, lambda record: (
             _estimate_row(args, values=[cell_float(record[k]) for k in _VALUE_COLUMNS],
                           scenario=record["scenario"], n=int(record["n"]))))
-        _emit(args, {**settings, "input": args.input}, out_fields, rows)
+        _emit(args, out_fields, rows)
         return
     if args.scenario is None or args.n is None:
         raise ValueError("--scenario and --n are required without --input")
     row = _estimate_row(args, args.scenario, args.n,
                         [getattr(args, column) for column in _VALUE_COLUMNS])
-    _emit(args, settings, out_fields, [row], {"result": dict(zip(out_fields, row))})
+    _emit(args, out_fields, [row], {"result": dict(zip(out_fields, row))})
 
 
 # ---------------------------------------------------------------------------
@@ -225,16 +232,14 @@ def _cmd_weights(args):
     if (args.n is None) == (args.grid is None):
         raise ValueError("give exactly one of --n or --grid")
     grid = (args.n,) if args.n is not None else _parse_grid(args.grid)
-    check_moment_domain(grid, _mc_reps(args))
-    settings = {"scenario": scenario.value, "backend": args.backend,
-                "seed": args.seed, "reps": _mc_reps(args)}
+    check_moment_domain(grid, args.reps)
     rows = []
     for n in grid:
         moments = _moments(args, n)
         exact, approx = optimal_weights(moments, scenario), approx_weight(scenario, n)
         rows.append([n, scenario.value, exact.w1, exact.w2,
                      approx.w1, approx.w2, args.backend, moments.std_error])
-    _emit(args, settings, _WEIGHT_FIELDS, rows)
+    _emit(args, _WEIGHT_FIELDS, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -256,24 +261,24 @@ def _read_weight_table(path, scenario: Scenario):
 
 def _cmd_fit(args):
     scenario = Scenario.parse(args.scenario)
-    settings = {"scenario": scenario.value, "seed": args.seed}
     if args.input is not None:
-        settings["input"] = args.input
+        _refuse_unread("without --input", {"--grid": args.grid is not None,
+                                           "--backend mc": args.backend == "mc"})
+        args.backend = None
         with _reading():
             grid = _read_weight_table(args.input, scenario)
             coeff = fit_power_law(grid, scenario)
     else:
+        args.grid = args.grid or DEFAULT_FIT_GRID
         grid_ns = _parse_grid(args.grid)
-        check_moment_domain(grid_ns, _mc_reps(args))
-        settings.update({"backend": args.backend, "grid": args.grid,
-                         "reps": _mc_reps(args)})
+        check_moment_domain(grid_ns, args.reps)
         grid = [(n, *optimal_weights(_moments(args, n), scenario).part_weights[:-1])
                 for n in grid_ns]
         coeff = fit_power_law(grid, scenario)
     result = {"scenario": scenario.value, "model": coeff.model, "c1": coeff.c1,
               "c2": coeff.c2, "c3": coeff.c3, "c4": coeff.c4,
               "residual": coeff.residual, "n_points": len(grid)}
-    _emit(args, settings, tuple(result), [list(result.values())], {"fit": result})
+    _emit(args, tuple(result), [list(result.values())], {"fit": result})
 
 
 # ---------------------------------------------------------------------------
@@ -287,32 +292,26 @@ def _cmd_simulate(args):
     config = SimulationConfig(
         distribution=spec, scenario=scenario, methods=methods,
         n_grid=_parse_grid(args.grid), replicates=args.reps, seed=args.seed)
-    settings = {"distribution": args.distribution, "scenario": scenario.value,
-                "methods": ",".join(config.methods), "grid": args.grid,
-                "reps": args.reps, "seed": args.seed}
+    args.methods = ",".join(config.methods)
     report = run_rmse(config)
     fields = ("distribution", "scenario", "n", "method", "rmse",
               "mc_std_error", "replicates")
     rows = [[r.distribution, r.scenario, r.n, r.method, r.rmse,
              r.mc_std_error, r.replicates] for r in report.rows]
-    _emit(args, settings, fields, rows)
+    _emit(args, fields, rows)
 
 
 # ---------------------------------------------------------------------------
 # meta
 
 def _cmd_meta(args):
-    profile_mean, profile_sd = PROFILES[args.profile]
-    mean_method = args.mean_method or profile_mean
-    sd_method = args.sd_method or profile_sd
-    settings = {"input": args.input or "<bundled table1.csv>",
-                "profile": args.profile, "mean_method": mean_method,
-                "sd_method": sd_method}
+    args.mean_method = args.mean_method or PROFILES[args.profile][0]
+    args.sd_method = args.sd_method or PROFILES[args.profile][1]
     # a bundled study the chosen methods cannot convert is the flags' fault
     with _reading() if args.input is not None else contextlib.nullcontext():
         records = load_bundled_studies() if args.input is None \
             else read_study_csv(args.input)
-        result = run_case_study(records, mean_method, sd_method)
+        result = run_case_study(records, args.mean_method, args.sd_method)
     study_fields = ("index", "label", "n_cases", "n_controls")
     payload = result.to_dict()
     for record, effect in zip(records, payload["effects"]):
@@ -324,7 +323,7 @@ def _cmd_meta(args):
     stats = {"pooled_d": result.pooled_d, "pooled_ci_low": low, "pooled_ci_high": high,
              **{key: getattr(result, key)
                 for key in ("q", "df", "p_value", "i_squared", "tau_squared")}}
-    _emit(args, settings, fields, rows, {"result": payload},
+    _emit(args, fields, rows, {"result": payload},
           [f"# {key}={_fmt(value)}" for key, value in stats.items()])
 
 
@@ -332,9 +331,8 @@ def _cmd_meta(args):
 # parser
 
 class _Parser(argparse.ArgumentParser):
-    """Reads a negative number in any float syntax, -1e+300 included, as a
-    value after a space; argparse alone takes only -5 and -2.5 forms. Its
-    subparsers are of the same class."""
+    """Reads a negative number in any float syntax, -1e+300 included, as a value
+    after a space (argparse alone takes only -5 and -2.5), as do its subparsers."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -343,11 +341,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="optmean",
-        description="Estimate sample means from five-number-summary fragments, "
-                    "tabulate optimal weights, refit their approximations, run "
-                    "RMSE simulations, and pool study effect sizes.")
+    parser = _Parser(prog="optmean", description="Estimate sample means from five-"
+                     "number-summary fragments, tabulate optimal weights, refit their "
+                     "approximations, run RMSE simulations, and pool study effect sizes.")
     sub = parser.add_subparsers(dest="command", required=True)
     seed = _default_seed()
     scenarios = tuple(scenario.value for scenario in Scenario)
@@ -362,7 +358,8 @@ def build_parser() -> argparse.ArgumentParser:
     def moment_flags(p, backend_help=None):
         p.add_argument("--backend", choices=("quad", "mc"), default="quad",
                        help=backend_help)
-        p.add_argument("--reps", type=int, default=DEFAULT_WEIGHT_REPS)
+        p.add_argument("--reps", type=int,
+                       help=f"replicates of --backend mc (default {DEFAULT_WEIGHT_REPS})")
 
     p = sub.add_parser("estimate", help="estimate a mean or SD from a summary")
     p.add_argument("--scenario", choices=scenarios)
@@ -387,10 +384,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit", help="refit the power-law weight approximations")
     p.add_argument("--scenario", required=True, choices=scenarios)
-    p.add_argument("--input", default=None,
-                   help="weight-table CSV from `optmean weights`")
-    p.add_argument("--grid", default="5:101:4",
-                   help="grid to regenerate when --input is absent")
+    p.add_argument("--input", help="weight-table CSV from `optmean weights`")
+    p.add_argument("--grid", help=f"grid without --input (default {DEFAULT_FIT_GRID})")
     moment_flags(p)
     common(p, _cmd_fit, default_format="json")
 
@@ -405,8 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, _cmd_simulate)
 
     p = sub.add_parser("meta", help="pool study effect sizes")
-    p.add_argument("--input", default=None,
-                   help="study CSV (default: the bundled seven-study table)")
+    p.add_argument("--input", help="study CSV (default: the bundled seven-study table)")
     p.add_argument("--profile", choices=tuple(PROFILES), default="table3")
     p.add_argument("--mean-method", type=_method_name, choices=SUMMARY_METHODS,
                    default=None, help="override the profile's mean estimator")
@@ -421,6 +415,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     args.mc_moments = {}
     try:
+        if abs(args.seed) > sys.float_info.max:  # every header prints it, as a number
+            raise ValueError(f"--seed must be finite as a float, got {args.seed}")
+        if getattr(args, "backend", None) == "mc":  # the moment flags' --reps
+            args.reps = DEFAULT_WEIGHT_REPS if args.reps is None else args.reps
+        elif hasattr(args, "backend"):
+            _refuse_unread("by --backend mc", {"--reps": args.reps is not None})
         args.func(args)
         return EXIT_OK
     except _InputError as exc:

@@ -8,7 +8,10 @@ the corpus and read by a relative path from the working directory, so the
 ``# input=`` headers do not depend on where the corpus was made.
 `tests/test_corpus.py` replays every entry through `cli.main` and compares.
 The corpus is the contract of a change that must not move any output:
-regenerate it only for a change that is meant to.
+regenerate it only for a change that is meant to. Such a change bumps
+``optmean.__version__``: under the library versions the corpus was made
+with, this script refuses to write (exit 1, naming the moved entries) when a
+stored stdout moved while the package still prints the stored version.
 """
 
 from __future__ import annotations
@@ -18,13 +21,14 @@ import io
 import json
 import os
 import platform
+import re
 import sys
 import tempfile
 
 import numpy
 import scipy
 
-from optmean import cli
+from optmean import __version__, cli
 from optmean.meta import bundled_table1
 
 CORPUS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "corpus.json")
@@ -161,6 +165,25 @@ def run(argv) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
+# the package version in an optmean CSV's first line or a JSON document
+_VERSION = re.compile(r'^# optmean (\S+) |^  "version": "([^"]+)"', re.MULTILINE)
+
+
+def moved_under_stored_version(stored, entries, inputs) -> list:
+    """The argvs (and input names) whose stdout moved from the ``stored``
+    corpus, if the package still prints a version the stored outputs print;
+    empty otherwise."""
+    versions = {a or b for entry in stored["entries"]
+                for a, b in _VERSION.findall(entry["stdout"])}
+    if __version__ not in versions:
+        return []
+    before = {tuple(entry["argv"]): entry["stdout"] for entry in stored["entries"]}
+    return [*(" ".join(entry["argv"]) for entry in entries
+              if before.get(tuple(entry["argv"]), entry["stdout"]) != entry["stdout"]),
+            *(f"input {name}" for name, text in inputs.items()
+              if stored["inputs"].get(name, text) != text)]
+
+
 def write_inputs(directory, inputs) -> None:
     for name, text in inputs.items():
         with open(os.path.join(directory, name), "w", encoding="utf-8",
@@ -189,6 +212,15 @@ def main() -> None:
     corpus = {"made_under": {"python": platform.python_version(),
                              "numpy": numpy.__version__, "scipy": scipy.__version__},
               "inputs": inputs, "entries": entries}
+    if os.path.exists(CORPUS):
+        with open(CORPUS, encoding="utf-8") as handle:
+            stored = json.load(handle)
+        # other library versions may move the last bits of a number
+        moved = stored["made_under"] == corpus["made_under"] and \
+            moved_under_stored_version(stored, entries, inputs)
+        if moved:
+            sys.exit(f"stdout moved under the stored version {__version__}; bump "
+                     f"optmean.__version__ to regenerate:\n  " + "\n  ".join(moved))
     with open(CORPUS, "w", encoding="utf-8") as handle:
         json.dump(corpus, handle, indent=1)
         handle.write("\n")

@@ -2,6 +2,7 @@
 
 import csv
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -1311,3 +1312,132 @@ class TestStartup:
         assert kernel.means == pytest.approx(served.means, rel=0, abs=1e-12)
         assert kernel.second_moments == pytest.approx(served.second_moments, rel=0,
                                                       abs=1e-12)
+
+
+ONE_S1 = ["--scenario", "s1", "--n", "25", "--min", "1", "--median", "2", "--max", "3"]
+
+
+class TestUnreadFlags:
+    """A flag the chosen path would not read is refused (exit 2) before any
+    ``--input`` row is read, naming the flag and the choice that reads it."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["weights", "--scenario", "s1", "--n", "9", "--reps", "3"],
+         "--reps: read only by --backend mc"),
+        (["weights", "--scenario", "s1", "--n", "9", "--backend", "quad",
+          "--reps", "20000"], "--reps: read only by --backend mc"),
+        (["fit", "--scenario", "s1", "--grid", "5:17:4", "--reps", "20000"],
+         "--reps: read only by --backend mc"),
+        (["estimate", "--method", "optimal-exact", "--reps", "20000",
+          "--input", "no-such-file.csv"], "--reps: read only by --backend mc"),
+        (["estimate", "--method", "hozo", "--reps", "20000", *ONE_S1],
+         "--reps: read only by --backend mc"),
+    ], ids=["weights", "weights-quad", "fit", "estimate-exact-input", "estimate-hozo"])
+    def test_reps_without_mc(self, argv, message, capsys):
+        self._refused(argv, message, capsys)
+
+    @pytest.mark.parametrize("tail", [ONE_S1, ["--input", "no-such-file.csv"]],
+                             ids=["flags", "input"])
+    def test_mc_backend_outside_optimal_exact(self, tail, capsys):
+        self._refused(["estimate", "--method", "hozo", "--backend", "mc", *tail],
+                      "--backend mc: read only by --method optimal-exact", capsys)
+
+    @pytest.mark.parametrize("weights, named", [
+        (["--weight", "0.2"], "--weight"), (["--w2", "0"], "--w2"),
+        (["--weight", "0", "--w2", "0.5"], "--weight, --w2")])
+    @pytest.mark.parametrize("tail", [ONE_S1, ["--input", "no-such-file.csv"]],
+                             ids=["flags", "input"])
+    def test_weights_outside_weighted(self, weights, named, tail, capsys):
+        self._refused(["estimate", "--method", "optimal-approx", *weights, *tail],
+                      f"{named}: read only by --method weighted", capsys)
+
+    @pytest.mark.parametrize("flags, named", [
+        (["--grid", "5:17:4"], "--grid"), (["--backend", "mc"], "--backend mc"),
+        (["--grid", "5:17:4", "--backend", "mc", "--reps", "20000"],
+         "--grid, --backend mc")])
+    def test_fit_input_with_grid_or_mc(self, flags, named, capsys):
+        self._refused(["fit", "--scenario", "s1", "--input", "no-such-file.csv", *flags],
+                      f"{named}: read only without --input", capsys)
+
+    @staticmethod
+    def _refused(argv, message, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(f"error: {message}\n")
+
+    def test_quad_backend_and_seed_stay_accepted(self, tmp_path, capsys):
+        code, out, _ = run_cli(["estimate", "--method", "hozo", "--backend", "quad",
+                                "--seed", "5", *ONE_S1], capsys)
+        assert code == EXIT_OK
+        table = tmp_path / "weights.csv"
+        assert main(["weights", "--scenario", "s1", "--grid", "5:21:4",
+                     "--output", str(table)]) == EXIT_OK
+        code, out, _ = run_cli(["fit", "--scenario", "s1", "--input", str(table),
+                                "--backend", "quad", "--seed", "5"], capsys)
+        assert code == EXIT_OK
+        assert "backend" not in json.loads(out)["config"]
+
+    def test_weights_the_flag_allows_but_a_row_refuses_are_the_rows_fault(
+            self, tmp_path, capsys):
+        src = tmp_path / "summaries.csv"
+        src.write_text("scenario,n,min,q1,median,q3,max\ns1,25,1,,2,,3\n")
+        code, out, err = run_cli(["estimate", "--input", str(src), "--method",
+                                  "weighted", "--weight", "0.2", "--w2", "0.1"], capsys)
+        assert code == EXIT_DATA
+        assert err.startswith("optmean estimate: input error: line 2: ")
+
+
+def _header(text):
+    """The ``# key=value`` lines between an output's version line and its columns."""
+    lines = itertools.takewhile(lambda line: line.startswith("# "),
+                                text.splitlines()[1:])
+    return dict(line[2:].split("=", 1) for line in lines)
+
+
+class TestHeaderNamesEveryFlag:
+    def test_single_summary_names_its_values(self, capsys):
+        code, out, _ = run_cli(["estimate", "--method", "weighted", "--weight", "0.25",
+                                *ONE_S1], capsys)
+        assert code == EXIT_OK
+        assert _header(out) == {"backend": "quad", "max": "3.0", "median": "2.0",
+                                "method": "weighted", "min": "1.0", "n": "25",
+                                "scenario": "s1", "seed": str(cli.DEFAULT_SEED),
+                                "weight": "0.25"}
+
+    def test_reps_only_under_mc(self, capsys):
+        _, quad, _ = run_cli(["weights", "--scenario", "s3", "--n", "377"], capsys)
+        assert "# n=377" in quad.splitlines()
+        assert "reps" not in _header(quad)
+        _, mc, _ = run_cli(["estimate", "--method", "optimal-exact", "--backend", "mc",
+                            "--format", "json", *ONE_S1], capsys)
+        assert json.loads(mc)["config"]["reps"] == cli.DEFAULT_WEIGHT_REPS
+
+    def test_fit_names_its_default_grid(self, capsys):
+        _, out, _ = run_cli(["fit", "--scenario", "s1", "--format", "csv"], capsys)
+        assert _header(out)["grid"] == cli.DEFAULT_FIT_GRID
+
+    def test_bundled_meta_names_no_input_and_every_command_names_seed(self, capsys):
+        _, out, _ = run_cli(["meta", "--profile", "table2", "--seed", "9"], capsys)
+        assert _header(out) == {"mean_method": "hozo_as_applied", "profile": "table2",
+                                "sd_method": "hozo", "seed": "9"}
+
+    def test_a_full_float_reads_back_exactly(self, capsys):
+        value = "0.1234567890123"
+        _, out, _ = run_cli(["estimate", *ONE_S1[:4], "--min", value, "--median", "2",
+                             "--max", "3", "--method", "hozo"], capsys)
+        assert _header(out)["min"] == value
+
+    @pytest.mark.parametrize("command", [
+        ["weights", "--scenario", "s1", "--n", "5"], ["meta"],
+        ["simulate", "--distribution", "normal", "--scenario", "s1", "--grid", "5:5:4",
+         "--reps", "1000"]])
+    def test_a_seed_past_the_float_range_is_refused(self, command, capsys):
+        # every header prints the seed, and a number in it must read back as a float
+        with pytest.raises(SystemExit) as excinfo:
+            main([*command, "--seed", str(10**400)])
+        assert excinfo.value.code == EXIT_USAGE
+        assert "error: --seed must be finite as a float, got 1000" in capsys.readouterr().err
+        assert main([*command, "--seed", "-1", "--output", os.devnull]) == EXIT_OK

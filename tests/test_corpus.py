@@ -8,9 +8,12 @@ made under, the version header and the JSON ``libraries`` block are masked,
 every number is compared within `RTOL` and `ATOL` (a library's special
 functions may move the last bits), and stderr is compared by its last line
 (argparse's usage lines may wrap differently). `make_corpus.py` regenerates
-the corpus.
+the corpus. Every successful entry's header also reruns it: the flags its
+``#`` lines or JSON ``config`` block name, with its ``--format``, give the same
+stdout.
 """
 
+import itertools
 import json
 import math
 import platform
@@ -68,6 +71,38 @@ def test_cli_output_matches_corpus(entry, tmp_path, monkeypatch):
         assert err == entry.get("stderr", "")
     else:
         assert _last_line(err) == _last_line(entry.get("stderr", ""))
+
+
+def header_argv(stdout: str) -> list:
+    """The argv that an output's header names: its command, then ``--key=value``
+    for each ``# key=value`` line between the version line and the column row
+    (or each JSON ``config`` entry but ``libraries``), then its ``--format``."""
+    if stdout.startswith("{"):
+        document = json.loads(stdout)
+        command, fmt = document["command"], "json"
+        config = {k: str(v) for k, v in document["config"].items() if k != "libraries"}
+    else:
+        first, *lines = stdout.splitlines()
+        command, fmt = first.split()[3], "csv"
+        header = [line[2:] for line in itertools.takewhile(
+            lambda line: line.startswith("# "), lines)]
+        config = dict(line.split("=", 1) for line in header)
+    return [command, *(f"--{k.replace('_', '-')}={v}" for k, v in config.items()),
+            "--format", fmt]
+
+
+SUCCEEDED = {f"{k:02d}-{entry['argv'][0]}": entry
+             for k, entry in enumerate(CORPUS_DATA["entries"]) if entry["exit"] == 0}
+
+
+@pytest.mark.parametrize("entry", SUCCEEDED.values(), ids=SUCCEEDED.keys())
+def test_header_reruns_the_output(entry, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+    write_inputs(tmp_path, CORPUS_DATA["inputs"])
+    code, out, err = run(header_argv(entry["stdout"]))
+    assert (code, err) == (0, "")
+    assert matches(entry["stdout"], out, SAME_LIBRARIES), out
 
 
 def test_corpus_covers_every_command_format_and_refusal():

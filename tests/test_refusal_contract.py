@@ -307,6 +307,32 @@ def test_fit_flags(data):
     check_contract(["fit", "--grid", data.draw(grids(10)), *data.draw(moment_flags())])
 
 
+@st.composite
+def quad_flags(draw):
+    """A scenario, ``--backend quad`` or no backend, ``--seed`` and a format:
+    `moment_flags` always gives ``--reps``, which quadrature refuses."""
+    backend = draw(st.sampled_from([[], ["--backend", "quad"]]))
+    return ["--scenario", draw(SCENARIOS), *backend, "--seed", str(draw(SEEDS)),
+            "--format", draw(FORMATS)]
+
+
+@CONTRACT
+@given(data=st.data())
+def test_weights_quad_flags(data):
+    argv = ["weights"]
+    if data.draw(st.booleans()):
+        argv += ["--grid", data.draw(grids(3))]
+    if "--grid" not in argv or not data.draw(WELL_FORMED):
+        argv += ["--n", str(data.draw(SMALL_SIZES))]
+    check_contract(argv + data.draw(quad_flags()))
+
+
+@CONTRACT
+@given(data=st.data())
+def test_fit_quad_flags(data):
+    check_contract(["fit", "--grid", data.draw(grids(10)), *data.draw(quad_flags())])
+
+
 @CONTRACT
 @given(data=st.data())
 def test_simulate_flags(data):
