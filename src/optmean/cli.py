@@ -10,6 +10,9 @@ chosen path would not read is refused, and the same flags give the same bytes.
 Exit codes follow where a refused value came from: 0 success, 2 a flag
 (usage error), 3 an ``--input`` file or the output, 4 a numerical failure
 or an unallocatable draw. `main` alone maps an exception to its code.
+
+A command loads only the modules it runs: `simulate` and `meta` import theirs
+when called, so a process that runs neither does not pay for them.
 """
 
 from __future__ import annotations
@@ -30,13 +33,10 @@ import scipy
 from . import __version__
 from ._table import cell_float, read_table
 from .errors import FitConvergenceError, NumericalError
-from .estimators import METHODS, SD_METHODS, SUMMARY_METHODS, \
-    FiveNumberSummary, estimate_mean, mean_weighted, sd_estimate
-from .meta import PROFILES, load_bundled_studies, read_study_csv, run_case_study
+from .estimators import DISTRIBUTION_KINDS, METHODS, PROFILES, SD_METHODS, \
+    SUMMARY_METHODS, FiveNumberSummary, estimate_mean, mean_weighted, sd_estimate
 from .order_stats import SUMMARY_FIELDS, check_moment_domain, moments_mc, \
     moments_quadrature
-from .simulation import SimulationConfig, DISTRIBUTION_KINDS, distribution, \
-    run_rmse
 from .weights import Scenario, WeightSet, approx_weight, fit_power_law, \
     optimal_weights
 
@@ -114,12 +114,17 @@ def _refuse_unread(reader: str, given: dict):
         raise ValueError(f"{', '.join(flags)}: read only {reader}")
 
 
-def _emit(args, fields, rows, document=None, footer=()):
-    """Write the header (each flag of ``args`` but --output and --format that is
-    not None, by `str`, so ``--key=value`` reruns it), then the CSV table and its
-    ``footer`` lines, or the JSON ``document`` (default ``{"rows": [...]}``)."""
+def _header(args) -> dict:
+    """Each flag of ``args`` but --output and --format that is not None."""
     flags = {action.dest for action in args.parser._actions} - {"output", "format"}
-    config = {k: v for k, v in vars(args).items() if k in flags and v is not None}
+    return {k: v for k, v in vars(args).items() if k in flags and v is not None}
+
+
+def _emit(args, fields, rows, document=None, footer=()):
+    """Write the `_header` (each value by `str`, so ``--key=value`` reruns it),
+    then the CSV table and its ``footer`` lines, or the JSON ``document``
+    (default ``{"rows": [...]}``)."""
+    config = _header(args)
     if args.format == "json":
         body = document or {"rows": [dict(zip(fields, row)) for row in rows]}
         text = json.dumps({"command": args.command, "version": __version__,
@@ -285,6 +290,8 @@ def _cmd_fit(args):
 # simulate
 
 def _cmd_simulate(args):
+    from .simulation import SimulationConfig, distribution, run_rmse
+
     spec = distribution(args.distribution)
     scenario = Scenario.parse(args.scenario)
     methods = tuple(_method_name(m) for m in (args.methods or "").split(",")
@@ -305,6 +312,8 @@ def _cmd_simulate(args):
 # meta
 
 def _cmd_meta(args):
+    from .meta import load_bundled_studies, read_study_csv, run_case_study
+
     args.mean_method = args.mean_method or PROFILES[args.profile][0]
     args.sd_method = args.sd_method or PROFILES[args.profile][1]
     # a bundled study the chosen methods cannot convert is the flags' fault
@@ -417,6 +426,11 @@ def main(argv=None) -> int:
     try:
         if abs(args.seed) > sys.float_info.max:  # every header prints it, as a number
             raise ValueError(f"--seed must be finite as a float, got {args.seed}")
+        for key, value in _header(args).items():  # a header line holds one value
+            text = str(value)
+            if text.splitlines() not in ([], [text]):
+                raise ValueError(f"--{key.replace('_', '-')} must hold no line break, "
+                                 f"got {text!r}")
         if getattr(args, "backend", None) == "mc":  # the moment flags' --reps
             args.reps = DEFAULT_WEIGHT_REPS if args.reps is None else args.reps
         elif hasattr(args, "backend"):

@@ -157,6 +157,12 @@ METHODS = {
 # The methods that estimate a mean from a summary alone.
 SUMMARY_METHODS = tuple(name for name, m in METHODS.items() if m.weights is not None)
 
+# The sampling distributions a simulation compares the methods on, in the order
+# of `simulation`'s rows for them. It and `PROFILES` are stated here, beside the
+# method tables, so a parser can offer them without importing `simulation` or
+# `meta`; each of those exports its table.
+DISTRIBUTION_KINDS = ("normal", "lognormal", "beta", "exponential", "weibull")
+
 
 def lookup_method(name: str, scenario, table=METHODS):
     """The ``table`` (`METHODS` or `SD_METHODS`) row for ``name``: ValueError
@@ -321,6 +327,14 @@ SD_METHODS = {
         frozenset({Scenario.S1}),
         lambda s: hozo_sd_from_range(s.minimum, s.maximum, s.n, median=s.median),
         hozo_sd_from_range, "hozo_sd"),
+}
+
+# (mean method, SD method) pairs for the two published conversion styles of a
+# meta-analysis: table2 reproduces the stepwise legacy conversion, table3 the
+# size-adaptive one.
+PROFILES = {
+    "table2": ("hozo_as_applied", "hozo"),
+    "table3": ("optimal_approx", "wan"),
 }
 
 

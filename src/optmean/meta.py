@@ -17,6 +17,7 @@ from typing import Sequence, Union
 
 from ._table import cell_float, read_table
 from .estimators import (
+    PROFILES,
     SD_METHODS,
     FiveNumberSummary,
     estimate_mean,
@@ -48,14 +49,6 @@ __all__ = [
 
 _LN_OR_TO_D = math.sqrt(3.0) / math.pi
 _Z95 = 1.96
-
-# (mean method, SD method) pairs for the two published conversion styles:
-# table2 reproduces the stepwise legacy conversion, table3 the
-# size-adaptive one.
-PROFILES = {
-    "table2": ("hozo_as_applied", "hozo"),
-    "table3": ("optimal_approx", "wan"),
-}
 
 
 @dataclass(frozen=True)

@@ -31,8 +31,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._rng import cell_sums, replicate_chunks, replicate_uniforms, stream_key
-from .estimators import FIELDS_BY_SCENARIO, METHODS, FiveNumberSummary, combine, \
-    lookup_method
+from .estimators import DISTRIBUTION_KINDS, FIELDS_BY_SCENARIO, METHODS, \
+    FiveNumberSummary, combine, lookup_method
 from .order_stats import SUMMARY_FIELDS, OrderIndexSet, check_moment_domain, \
     check_replicates, check_sample_size, special, summary_parts
 from .weights import Scenario
@@ -145,30 +145,34 @@ def _positive(value) -> bool:
 
 
 # kind -> (canonical params, true mean, inverse CDF, parameter domain, the
-# domain in words); the inverse CDF and the domain take the params by name
-_DISTRIBUTIONS = {
-    "normal": ((("mu", 50.0), ("sigma", 17.0)), 50.0,
-               lambda u, mu, sigma: mu + sigma * special.ndtri(u),
-               lambda mu, sigma: math.isfinite(mu) and _positive(sigma),
-               "a finite mu and a positive finite sigma"),
-    "lognormal": ((("location", 4.0), ("scale", 0.3)), math.exp(4.0 + 0.5 * 0.3 ** 2),
-                  lambda u, location, scale: np.exp(location + scale * special.ndtri(u)),
-                  lambda location, scale: math.isfinite(location) and _positive(scale),
-                  "a finite location and a positive finite scale"),
-    "beta": ((("alpha", 9.0), ("beta", 4.0)), 9.0 / 13.0, _beta_quantile,
-             lambda alpha, beta: all(float(v).is_integer() and 1 <= v <= _BETA_MAX
-                                     for v in (alpha, beta)),
-             f"whole numbers from 1 to {_BETA_MAX}"),
-    "exponential": ((("rate", 10.0),), 0.1,
-                    lambda u, rate: -np.log1p(-u) / rate,
-                    lambda rate: _positive(rate), "a positive finite rate"),
-    "weibull": ((("shape", 2.0), ("scale", 35.0)), 35.0 * math.gamma(1.5),
-                lambda u, shape, scale: scale * (-np.log1p(-u)) ** (1.0 / shape),
-                lambda shape, scale: _positive(shape) and _positive(scale),
-                "a positive finite shape and scale"),
-}
-
-DISTRIBUTION_KINDS = tuple(_DISTRIBUTIONS)
+# domain in words), one row per `DISTRIBUTION_KINDS` entry by position; the
+# inverse CDF and the domain take the params by name
+_DISTRIBUTIONS = dict(zip(DISTRIBUTION_KINDS, (
+    # normal
+    ((("mu", 50.0), ("sigma", 17.0)), 50.0,
+     lambda u, mu, sigma: mu + sigma * special.ndtri(u),
+     lambda mu, sigma: math.isfinite(mu) and _positive(sigma),
+     "a finite mu and a positive finite sigma"),
+    # lognormal
+    ((("location", 4.0), ("scale", 0.3)), math.exp(4.0 + 0.5 * 0.3 ** 2),
+     lambda u, location, scale: np.exp(location + scale * special.ndtri(u)),
+     lambda location, scale: math.isfinite(location) and _positive(scale),
+     "a finite location and a positive finite scale"),
+    # beta
+    ((("alpha", 9.0), ("beta", 4.0)), 9.0 / 13.0, _beta_quantile,
+     lambda alpha, beta: all(float(v).is_integer() and 1 <= v <= _BETA_MAX
+                             for v in (alpha, beta)),
+     f"whole numbers from 1 to {_BETA_MAX}"),
+    # exponential
+    ((("rate", 10.0),), 0.1,
+     lambda u, rate: -np.log1p(-u) / rate,
+     lambda rate: _positive(rate), "a positive finite rate"),
+    # weibull
+    ((("shape", 2.0), ("scale", 35.0)), 35.0 * math.gamma(1.5),
+     lambda u, shape, scale: scale * (-np.log1p(-u)) ** (1.0 / shape),
+     lambda shape, scale: _positive(shape) and _positive(scale),
+     "a positive finite shape and scale"),
+), strict=True))
 
 
 @dataclass(frozen=True)

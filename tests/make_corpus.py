@@ -56,6 +56,7 @@ INPUTS = {
     "bad_studies.csv": STUDIES.replace(
         "1,Davies 1985,40,40,fivenum,s1,", "1,Davies 1985,40,40,fivenum,,"),
     "weights.json": '{"rows": []}\n',
+    "nl\nname.csv": SUMMARIES["s1.csv"],
 }
 
 # the fit input is the weight table that `weights` writes
@@ -151,6 +152,9 @@ ARGVS = [
     ["fit", "--scenario", "s1", "--input", "weights.json"],
     ["fit", "--scenario", "s1", "--input", "weights.csv"],
     ["meta", "--input", "bad_studies.csv"],
+    ["meta", "--profile", "table9"],
+    # exit 2 for a header value with a line break, before its rows are read
+    ["estimate", "--input", "nl\nname.csv"],
 ]
 
 

@@ -1249,6 +1249,36 @@ def _startup_report(commands: dict, cwd) -> dict:
     return json.loads(proc.stdout)
 
 
+# the modules a command that neither simulates nor pools nor draws need not load
+_PER_COMMAND = ["optmean.meta", "optmean.simulation", "numpy.random"]
+
+# Like `_STARTUP_SCRIPT`, but notes which of `_PER_COMMAND` are loaded after
+# `import optmean.cli` and after each command.
+_MODULES_SCRIPT = """
+import contextlib, io, json, sys
+watched = %r
+import optmean.cli
+loaded = {"import": [m for m in watched if m in sys.modules]}
+for label, argv in json.loads(sys.argv[1]).items():
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = optmean.cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    loaded[label] = [code, [m for m in watched if m in sys.modules]]
+print(json.dumps(loaded))
+""" % (_PER_COMMAND,)
+
+
+def _modules_report(commands: dict, cwd) -> dict:
+    src = os.path.dirname(os.path.dirname(optmean.__file__))
+    proc = subprocess.run([sys.executable, "-c", _MODULES_SCRIPT, json.dumps(commands)],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), cwd=cwd, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
 class TestStartup:
     """Commands that call no special function leave `scipy.special` unloaded."""
 
@@ -1291,6 +1321,35 @@ class TestStartup:
         }, tmp_path)
         assert report["loaded"] == {"import": False, "weights": [EXIT_OK, False],
                                     "fit": [EXIT_OK, False], "exact": [EXIT_OK, False]}
+
+    def test_each_command_loads_only_the_modules_it_runs(self, tmp_path):
+        table = tmp_path / "weights.csv"
+        assert main(["weights", "--scenario", "s3", "--grid", "5:41:4",
+                     "--output", str(table)]) == EXIT_OK
+        # one process: none of these may load any of them
+        loads_none = {
+            "help": ["--help"],
+            "refusal": ["weights", "--scenario", "s1", "--n", "505"],
+            "approx": ["estimate", *ONE_S1, "--method", "optimal-approx"],
+            "exact": ["estimate", *ONE_S1, "--method", "optimal-exact"],
+            "weights": ["weights", "--scenario", "s3", "--n", "377"],
+            "fit": ["fit", "--scenario", "s1", "--grid", "5:41:4"],
+            "fit-input": ["fit", "--scenario", "s3", "--input", str(table)],
+        }
+        report = _modules_report(loads_none, tmp_path)
+        assert report == {"import": [], **{label: [EXIT_USAGE if label == "refusal"
+                                                   else EXIT_OK, []]
+                                           for label in loads_none}}
+        # a fresh process each; meta's special functions load `scipy.special`,
+        # which imports `numpy.random` itself
+        for argv, modules in [
+                (["meta"], ["optmean.meta", "numpy.random"]),
+                (["simulate", "--distribution", "normal", "--scenario", "s1", "--grid",
+                  "5:9:4", "--reps", "1000"], ["optmean.simulation", "numpy.random"]),
+                (["weights", "--scenario", "s1", "--n", "9", "--backend", "mc", "--reps",
+                  "10000"], ["numpy.random"])]:
+            assert _modules_report({"run": argv}, tmp_path) == {
+                "import": [], "run": [EXIT_OK, modules]}
 
     def test_moment_cache_keeps_its_surface_and_kernel(self, monkeypatch):
         # the benchmark's tracer counts cache_info().hits and calls cache_clear()
@@ -1441,3 +1500,31 @@ class TestHeaderNamesEveryFlag:
         assert excinfo.value.code == EXIT_USAGE
         assert "error: --seed must be finite as a float, got 1000" in capsys.readouterr().err
         assert main([*command, "--seed", "-1", "--output", os.devnull]) == EXIT_OK
+
+    @pytest.mark.parametrize("brk", ["\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028"],
+                             ids=repr)
+    def test_a_value_with_a_line_break_is_refused_before_input_is_read(
+            self, brk, tmp_path, capsys):
+        # `# input=nl` and then a bare `name.csv` line would read back as the columns
+        src = tmp_path / f"nl{brk}name.csv"
+        src.write_text("scenario,n,min,q1,median,q3,max\ns1,25,1,,2,,3\n")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["estimate", "--input", str(src)])
+        assert excinfo.value.code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(
+            f"error: --input must hold no line break, got {str(src)!r}\n")
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["weights", "--scenario", "s1", "--grid", "5:9:4\n"], "--grid"),
+        (["simulate", "--distribution", "normal", "--scenario", "s1", "--grid", "5:5:4",
+          "--reps", "1000", "--methods", "hozo,\nsample_mean"], "--methods"),
+        (["meta", "--input", "studies\r\n.csv"], "--input"),
+        (["fit", "--scenario", "s1", "--input", "w\n.csv"], "--input"),
+    ], ids=["weights-grid", "simulate-methods", "meta-input", "fit-input"])
+    def test_every_written_flag_is_checked(self, argv, flag, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == EXIT_USAGE
+        assert f"error: {flag} must hold no line break, got " in capsys.readouterr().err
