@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -280,9 +281,7 @@ def _cmd_fit(args):
         grid = [(n, *optimal_weights(_moments(args, n), scenario).part_weights[:-1])
                 for n in grid_ns]
         coeff = fit_power_law(grid, scenario)
-    result = {"scenario": scenario.value, "model": coeff.model, "c1": coeff.c1,
-              "c2": coeff.c2, "c3": coeff.c3, "c4": coeff.c4,
-              "residual": coeff.residual, "n_points": len(grid)}
+    result = {**vars(coeff), "scenario": scenario.value, "n_points": len(grid)}
     _emit(args, tuple(result), [list(result.values())], {"fit": result})
 
 
@@ -290,7 +289,7 @@ def _cmd_fit(args):
 # simulate
 
 def _cmd_simulate(args):
-    from .simulation import SimulationConfig, distribution, run_rmse
+    from .simulation import RmseRow, SimulationConfig, distribution, run_rmse
 
     spec = distribution(args.distribution)
     scenario = Scenario.parse(args.scenario)
@@ -301,11 +300,8 @@ def _cmd_simulate(args):
         n_grid=_parse_grid(args.grid), replicates=args.reps, seed=args.seed)
     args.methods = ",".join(config.methods)
     report = run_rmse(config)
-    fields = ("distribution", "scenario", "n", "method", "rmse",
-              "mc_std_error", "replicates")
-    rows = [[r.distribution, r.scenario, r.n, r.method, r.rmse,
-             r.mc_std_error, r.replicates] for r in report.rows]
-    _emit(args, fields, rows)
+    _emit(args, [field.name for field in dataclasses.fields(RmseRow)],
+          [dataclasses.astuple(row) for row in report.rows])
 
 
 # ---------------------------------------------------------------------------

@@ -223,8 +223,7 @@ class OrderStatMoments:
         expected = set(idx.indices)
         if set(self.means) != expected:
             raise ValueError("means must be keyed by the five summary ranks")
-        pairs = {(i, j) for i in expected for j in expected if i <= j}
-        if set(self.second_moments) != pairs:
+        if set(self.second_moments) != set(_rank_pairs(idx.indices)):
             raise ValueError("second_moments must cover all rank pairs i <= j")
         for i in expected:
             if not self.second_moments[(i, i)] > 0.0:
@@ -268,6 +267,26 @@ class OrderStatMoments:
 
 # Rows map the five summary ranks (a, q1, m, q3, b) to the estimator parts.
 _SUMMARY_PARTS = np.array(summary_parts(*np.eye(5)))
+
+
+def _rank_pairs(ranks) -> list:
+    """The pairs (i, j), i <= j, of ``ranks``, row-major: the order of the
+    second moments in a moment row."""
+    return [(i, j) for a, i in enumerate(ranks) for j in ranks[a:]]
+
+
+# the table's columns: n, then its moment row of five means and fifteen second moments
+_QUAD_COLUMNS = ("n", *(f"mean_{name}" for name in SUMMARY_FIELDS),
+                 *(f"m2_{a}_{b}" for a, b in _rank_pairs(SUMMARY_FIELDS)))
+
+
+def _moments_from_row(n: int, values, backend: str, std_error: float) -> OrderStatMoments:
+    """The moments of size ``n`` from its 20 ``values``, in `_QUAD_COLUMNS` order after n."""
+    ranks = OrderIndexSet.from_size(n).indices
+    return OrderStatMoments(
+        n=n, means=dict(zip(ranks, map(float, values[:5]))),
+        second_moments=dict(zip(_rank_pairs(ranks), map(float, values[5:]), strict=True)),
+        backend=backend, std_error=std_error)
 
 
 @dataclass(frozen=True)
@@ -405,26 +424,6 @@ def _adaptive(evaluate) -> tuple[float, float]:
     )
 
 
-def _rank_pairs(ranks) -> list:
-    """The pairs (i, j), i <= j, of ``ranks``, row-major: the order of the
-    quadrature's second moments and of the table's columns."""
-    return [(i, j) for a, i in enumerate(ranks) for j in ranks[a:]]
-
-
-# the table's columns: n, the five means, then the fifteen second moments
-_QUAD_COLUMNS = ("n", *(f"mean_{name}" for name in SUMMARY_FIELDS),
-                 *(f"m2_{a}_{b}" for a, b in _rank_pairs(SUMMARY_FIELDS)))
-
-
-def _quad_moments(idx: OrderIndexSet, values) -> OrderStatMoments:
-    """The quadrature moments of ``idx`` from its 20 ``values``, in the
-    order of `_QUAD_COLUMNS` after n."""
-    ranks = idx.indices
-    return OrderStatMoments(n=idx.n, means=dict(zip(ranks, values)),
-                            second_moments=dict(zip(_rank_pairs(ranks), values[len(ranks):])),
-                            backend="quadrature", std_error=_PANEL_TOL)
-
-
 def _quad_table_file():
     """Resource handle on the shipped quadrature moment table."""
     return resources.files("optmean").joinpath("data/quad_moments.csv")
@@ -451,8 +450,8 @@ def _served_from_table(kernel):
     @lru_cache(maxsize=None)
     def served(n):
         check_moment_domain((n,))
-        idx = OrderIndexSet.from_size(n)
-        return _quad_moments(idx, _quad_table()[idx.n])
+        n = OrderIndexSet.from_size(n).n
+        return _moments_from_row(n, _quad_table()[n], "quadrature", _PANEL_TOL)
     return update_wrapper(served, kernel)
 
 
@@ -472,8 +471,8 @@ def moments_quadrature(n: int) -> OrderStatMoments:
     # (ranks, power) of each mean, then of each second moment
     integrals = [((i,), 1) for i in ranks] + [
         ((i,), 2) if i == j else ((i, j), 1) for i, j in _rank_pairs(ranks)]
-    return _quad_moments(idx, [_adaptive(partial(_moment_once, idx.n, *args))[0]
-                               for args in integrals])
+    return _moments_from_row(idx.n, [_adaptive(partial(_moment_once, idx.n, *args))[0]
+                                     for args in integrals], "quadrature", _PANEL_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -495,6 +494,7 @@ def moments_mc(n: int, replicates: int, seed: int) -> OrderStatMoments:
     n = idx.n
     ranks = idx.indices
     cols = np.array(ranks) - 1
+    left, right = np.array(_rank_pairs(range(5))).T  # the columns of each product
     key = stream_key("order-stat-moments", seed, n)
     cells = []
     for _, u in replicate_chunks(key, replicates, n):
@@ -503,18 +503,11 @@ def moments_mc(n: int, replicates: int, seed: int) -> OrderStatMoments:
         # near e**-2: a row holding two astride a summary rank would differ
         u.sort(axis=1)
         zsel = special.ndtri(u[:, cols])
-        # per replicate: z and z z' flattened, then the squares of both
-        stats = np.hstack([zsel, (zsel[:, :, None] * zsel[:, None, :]).reshape(-1, 25)])
+        # per replicate: its moment row (z, then each product), then its squares
+        stats = np.hstack([zsel, zsel[:, left] * zsel[:, right]])
         cells.append(cell_sums(np.hstack([stats, stats * stats])))
     t = float(replicates)
     sums = np.concatenate(cells).sum(axis=0) / t
-    mean2 = sums[5:30].reshape(5, 5)
-    se = np.sqrt(np.maximum(sums[30:] - sums[:30] ** 2, 0.0) / t)
-    return OrderStatMoments(
-        n=n,
-        means={i: float(mean) for i, mean in zip(ranks, sums[:5])},
-        second_moments={(i, j): float(mean2[a, b]) for a, i in enumerate(ranks)
-                        for b, j in enumerate(ranks) if i <= j},
-        backend="monte_carlo",
-        std_error=float(se.max()),
-    )
+    row, squares = np.split(sums, 2)
+    se = np.sqrt(np.maximum(squares - row ** 2, 0.0) / t)
+    return _moments_from_row(n, row, "monte_carlo", float(se.max()))

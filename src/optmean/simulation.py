@@ -26,6 +26,7 @@ so only the normal and lognormal draws import ``scipy.special``.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -248,6 +249,10 @@ class SimulationConfig:
                                                  for n in self.n_grid))
         if not self.n_grid:
             raise ValueError("n_grid must not be empty")
+        for what, names in (("method", self.methods), ("sample size", self.n_grid)):
+            repeated = [name for name, count in Counter(names).items() if count > 1]
+            if repeated:
+                raise ValueError(f"{what} {repeated[0]!r} is named more than once")
         object.__setattr__(self, "replicates", check_replicates(
             self.replicates, MIN_REPLICATES, "stable ratios"))
         for method in self.methods:

@@ -11,7 +11,9 @@ The corpus is the contract of a change that must not move any output:
 regenerate it only for a change that is meant to. Such a change bumps
 ``optmean.__version__``: under the library versions the corpus was made
 with, this script refuses to write (exit 1, naming the moved entries) when a
-stored stdout moved while the package still prints the stored version.
+stored entry's exit code, stdout or stderr moved while the package still
+prints the stored version. New entries are appended at the end of `ARGVS`, so
+the stored entries keep their place.
 """
 
 from __future__ import annotations
@@ -155,6 +157,9 @@ ARGVS = [
     ["meta", "--profile", "table9"],
     # exit 2 for a header value with a line break, before its rows are read
     ["estimate", "--input", "nl\nname.csv"],
+    # exit 2 for a method named twice, before any draw
+    ["simulate", "--distribution", "normal", "--scenario", "s1", "--grid", "5:9:4",
+     "--reps", "1000", "--methods", "hozo,hozo"],
 ]
 
 
@@ -173,19 +178,27 @@ def run(argv) -> tuple[int, str, str]:
 _VERSION = re.compile(r'^# optmean (\S+) |^  "version": "([^"]+)"', re.MULTILINE)
 
 
+# what an entry holds of its argv's run; a success has no "stderr"
+_OUTCOME = ("exit", "stdout", "stderr")
+
+
 def moved_under_stored_version(stored, entries, inputs) -> list:
-    """The argvs (and input names) whose stdout moved from the ``stored``
-    corpus, if the package still prints a version the stored outputs print;
-    empty otherwise."""
+    """Each argv whose exit code, stdout or stderr moved from the ``stored``
+    corpus, with the parts that moved (and each moved input's name), if the
+    package still prints a version the stored outputs print; empty otherwise."""
     versions = {a or b for entry in stored["entries"]
                 for a, b in _VERSION.findall(entry["stdout"])}
     if __version__ not in versions:
         return []
-    before = {tuple(entry["argv"]): entry["stdout"] for entry in stored["entries"]}
-    return [*(" ".join(entry["argv"]) for entry in entries
-              if before.get(tuple(entry["argv"]), entry["stdout"]) != entry["stdout"]),
-            *(f"input {name}" for name, text in inputs.items()
-              if stored["inputs"].get(name, text) != text)]
+    before = {tuple(entry["argv"]): entry for entry in stored["entries"]}
+    moved = []
+    for entry in entries:
+        old = before.get(tuple(entry["argv"]), entry)
+        parts = [part for part in _OUTCOME if old.get(part) != entry.get(part)]
+        if parts:
+            moved.append(f"{' '.join(entry['argv'])} ({', '.join(parts)})")
+    return [*moved, *(f"input {name}" for name, text in inputs.items()
+                      if stored["inputs"].get(name, text) != text)]
 
 
 def write_inputs(directory, inputs) -> None:
@@ -223,7 +236,7 @@ def main() -> None:
         moved = stored["made_under"] == corpus["made_under"] and \
             moved_under_stored_version(stored, entries, inputs)
         if moved:
-            sys.exit(f"stdout moved under the stored version {__version__}; bump "
+            sys.exit(f"output moved under the stored version {__version__}; bump "
                      f"optmean.__version__ to regenerate:\n  " + "\n  ".join(moved))
     with open(CORPUS, "w", encoding="utf-8") as handle:
         json.dump(corpus, handle, indent=1)

@@ -609,6 +609,21 @@ class TestSimulate:
         assert "n <= 501" in captured.err
 
 
+    @pytest.mark.parametrize("methods", ["hozo,hozo", "sample-mean,hozo,sample_mean"])
+    def test_repeated_method_is_refused_before_any_draw(self, methods, capsys,
+                                                        monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("drew replicates")
+        monkeypatch.setattr(_rng, "replicate_uniforms", no_draw)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["simulate", "--distribution", "normal", "--scenario", "s1",
+                  "--grid", "5:9:4", "--reps", "1000", "--methods", methods])
+        assert excinfo.value.code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "is named more than once" in captured.err
+
+
 class TestMeta:
     def test_adaptive_profile_footer(self, capsys):
         code, out, _ = run_cli(["meta", "--profile", "table3"], capsys)

@@ -8,11 +8,13 @@ made under, the version header and the JSON ``libraries`` block are masked,
 every number is compared within `RTOL` and `ATOL` (a library's special
 functions may move the last bits), and stderr is compared by its last line
 (argparse's usage lines may wrap differently). `make_corpus.py` regenerates
-the corpus. Every successful entry's header also reruns it: the flags its
-``#`` lines or JSON ``config`` block name, with its ``--format``, give the same
+the corpus, and refuses to when a stored entry moved under the stored
+version. Every successful entry's header also reruns it: the flags its ``#``
+lines or JSON ``config`` block name, with its ``--format``, give the same
 stdout.
 """
 
+import copy
 import itertools
 import json
 import math
@@ -23,7 +25,8 @@ import numpy
 import pytest
 import scipy
 
-from make_corpus import CORPUS, COLUMNS, run, write_inputs
+from make_corpus import CORPUS, COLUMNS, moved_under_stored_version, run, write_inputs
+from optmean import __version__
 from optmean.cli import SEED_ENV_VAR
 
 with open(CORPUS, encoding="utf-8") as _handle:
@@ -133,3 +136,41 @@ class TestMaskedComparison:
         ("0.551626219", "0.5516"), ("weights", "weight"), ("5,", "9,")])
     def test_a_moved_number_or_word_is_not(self, old, new):
         assert not matches(self.WANT, self.WANT.replace(old, new), exact=False)
+
+
+class TestMovedUnderStoredVersion:
+    """`make_corpus.py` names each entry whose exit code, stdout or stderr
+    moved while the package prints the stored version, and none after a bump."""
+
+    @staticmethod
+    def stored(version=__version__):
+        return {"inputs": {"s1.csv": "scenario,n\n"}, "entries": [
+            {"argv": ["weights", "--n", "9"], "exit": 0,
+             "stdout": f"# optmean {version} weights (python 3.11.7)\nn\n9\n"},
+            {"argv": ["weights", "--n", "6"], "exit": 2, "stdout": "",
+             "stderr": "usage: optmean weights\nerror: n=6\n"},
+        ]}
+
+    def rerun(self, entry, part, value):
+        entries = copy.deepcopy(self.stored()["entries"])
+        entries[entry][part] = value
+        return entries
+
+    @pytest.mark.parametrize("entry, part, value, named", [
+        (0, "stdout", f"# optmean {__version__} weights (python 3.11.7)\nn\n8\n",
+         "weights --n 9 (stdout)"),
+        (1, "stderr", "usage: optmean weights\nerror: n=6 is refused\n",
+         "weights --n 6 (stderr)"),
+        (1, "exit", 3, "weights --n 6 (exit)"),
+    ])
+    def test_a_moved_part_is_named(self, entry, part, value, named):
+        stored = self.stored()
+        entries = self.rerun(entry, part, value)
+        assert moved_under_stored_version(stored, entries, stored["inputs"]) == [named]
+
+    def test_nothing_is_named_after_a_bump_or_when_nothing_moved(self):
+        stored = self.stored()
+        assert moved_under_stored_version(stored, stored["entries"], stored["inputs"]) == []
+        bumped = self.stored(version="0.0.1")
+        assert moved_under_stored_version(
+            bumped, self.rerun(1, "exit", 3), bumped["inputs"]) == []

@@ -16,6 +16,7 @@ from optmean.estimators import FiveNumberSummary, wan_sd_from_extremes
 from optmean.order_stats import (
     AsymptoticQuantileCov,
     OrderIndexSet,
+    OrderStatMoments,
     asymptotic_cov,
     moments_mc,
     moments_quadrature,
@@ -131,6 +132,46 @@ class TestDomainTypes:
     def test_index_set_rejects_non_4q1(self, n):
         with pytest.raises(ScenarioError):
             OrderIndexSet.from_size(n)
+
+
+class TestMomentChecks:
+    """`OrderStatMoments` refuses moments that are not keyed by the five
+    summary ranks of n and their pairs i <= j, or whose E(Z_(i)^2) is not
+    positive."""
+
+    @staticmethod
+    def remake(means=None, second_moments=None):
+        m = moments_quadrature(9)
+        return OrderStatMoments(n=m.n, means=m.means if means is None else means,
+                                second_moments=second_moments or m.second_moments,
+                                backend=m.backend, std_error=m.std_error)
+
+    def test_quadrature_moments_pass(self):
+        assert self.remake().means == moments_quadrature(9).means
+
+    @pytest.mark.parametrize("ranks", [(1, 3, 5, 7), (1, 3, 5, 7, 8), (1, 2, 5, 7, 9)])
+    def test_means_keyed_by_other_ranks(self, ranks):
+        with pytest.raises(ValueError, match="five summary ranks"):
+            self.remake(means=dict.fromkeys(ranks, 0.0))
+
+    @pytest.mark.parametrize("change", ["missing", "extra", "mirrored"])
+    def test_pairs_missing_or_extra(self, change):
+        second = dict(moments_quadrature(9).second_moments)
+        if change == "missing":
+            del second[(3, 7)]
+        elif change == "extra":
+            second[(7, 3)] = second[(3, 7)]
+        else:
+            second[(7, 3)] = second.pop((3, 7))
+        with pytest.raises(ValueError, match="all rank pairs"):
+            self.remake(second_moments=second)
+
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan])
+    @pytest.mark.parametrize("rank", [1, 5, 9])
+    def test_non_positive_square(self, rank, value):
+        second = {**moments_quadrature(9).second_moments, (rank, rank): value}
+        with pytest.raises(ValueError, match=rf"E\(Z_\({rank}\)\^2\) must be positive"):
+            self.remake(second_moments=second)
 
 
 NORMAL = distribution("normal")

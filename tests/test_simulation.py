@@ -243,6 +243,18 @@ class TestConfigValidation:
                          methods=("optimal_approx",), n_grid=(505,),
                          replicates=2000)
 
+    @pytest.mark.parametrize("repeat", [
+        {"methods": ("hozo", "hozo")},
+        {"methods": ("sample_mean", "hozo", "sample_mean")},
+        {"n_grid": (5, 9, 5)},
+        {"n_grid": (5, 5.0)},
+    ])
+    def test_repeated_method_or_size_is_refused(self, repeat):
+        config = {"distribution": distribution("normal"), "scenario": "s1",
+                  "methods": ("hozo",), "n_grid": (5, 9), "replicates": 1000, **repeat}
+        with pytest.raises(ValueError, match="named more than once"):
+            SimulationConfig(**config)
+
     def test_default_grid(self):
         assert DEFAULT_N_GRID[0] == 5
         assert DEFAULT_N_GRID[-1] == 101
