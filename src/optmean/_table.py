@@ -1,19 +1,29 @@
-"""The one input-table format: every ``--input`` CSV and the bundled studies."""
+"""The one table format and opener: every ``--input`` CSV, both data files."""
 
 from __future__ import annotations
 
 import csv
 import math
+import os
+from importlib import resources
 from typing import Optional
 
 
-def read_table(handle, what: str, columns: tuple, parse_row) -> list:
-    """The rows that ``parse_row`` makes of the records of the CSV open on
-    ``handle``, ``None`` dropped. Lines that start with ``#``, as the header
+def packaged(name: str):
+    """The packaged data file ``data/<name>``, a `read_table` source."""
+    return resources.files("optmean").joinpath(f"data/{name}")
+
+
+def read_table(source, what: str, columns: tuple, parse_row) -> list:
+    """The rows that ``parse_row`` makes of the records of the UTF-8 CSV at
+    ``source`` (a path or a `packaged` file; a leading byte-order mark is
+    ignored), ``None`` dropped. Lines that start with ``#``, as the header
     of every optmean CSV does, are skipped; the column header must start
     with ``columns``, and a refused row is named by its line in the file."""
-    numbered = [(k, line) for k, line in enumerate(handle, start=1)
-                if not line.startswith("#")]
+    opener = open if isinstance(source, (str, os.PathLike)) else type(source).open
+    with opener(source, encoding="utf-8-sig", newline="") as handle:
+        numbered = [(k, line) for k, line in enumerate(handle, start=1)
+                    if not line.startswith("#")]
     reader = csv.DictReader((line for _, line in numbered), restval="")
     if (reader.fieldnames or [])[:len(columns)] != list(columns):
         raise ValueError(f"{handle.name} is not a {what} CSV: its columns must "

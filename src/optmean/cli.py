@@ -148,12 +148,6 @@ def _emit(args, fields, rows, document=None, footer=()):
             handle.write(text)
 
 
-def _read_table(path, what: str, columns: tuple, parse_row) -> list:
-    """`read_table` on the ``--input`` file at ``path``."""
-    with _reading(), open(path, "r", encoding="utf-8", newline="") as handle:
-        return read_table(handle, what, columns, parse_row)
-
-
 # ---------------------------------------------------------------------------
 # estimate
 
@@ -205,9 +199,10 @@ def _cmd_estimate(args):
         raise ValueError(f"--input reads the summaries; drop {', '.join(given)}")
     if args.input is not None:
         # a row's values are read before its n, so a bad value is named first
-        rows = _read_table(args.input, "summary", _SUMMARY_COLUMNS, lambda record: (
-            _estimate_row(args, values=[cell_float(record[k]) for k in _VALUE_COLUMNS],
-                          scenario=record["scenario"], n=int(record["n"]))))
+        with _reading():
+            rows = read_table(args.input, "summary", _SUMMARY_COLUMNS, lambda record: (
+                _estimate_row(args, values=[cell_float(record[k]) for k in _VALUE_COLUMNS],
+                              scenario=record["scenario"], n=int(record["n"]))))
         _emit(args, out_fields, rows)
         return
     if args.scenario is None or args.n is None:
@@ -259,7 +254,7 @@ def _read_weight_table(path, scenario: Scenario):
         if Scenario.parse(record["scenario"]) is not scenario:
             return None
         return (float(int(record["n"])), *(float(record[key]) for key in weights))
-    grid = _read_table(path, "weight-table", ("n", "scenario", *weights), parse_row)
+    grid = read_table(path, "weight-table", ("n", "scenario", *weights), parse_row)
     if not grid:
         raise ValueError(f"no rows for scenario {scenario.value} in {path}")
     return grid
@@ -308,14 +303,13 @@ def _cmd_simulate(args):
 # meta
 
 def _cmd_meta(args):
-    from .meta import load_bundled_studies, read_study_csv, run_case_study
+    from .meta import bundled_table1, read_study_csv, run_case_study
 
     args.mean_method = args.mean_method or PROFILES[args.profile][0]
     args.sd_method = args.sd_method or PROFILES[args.profile][1]
     # a bundled study the chosen methods cannot convert is the flags' fault
     with _reading() if args.input is not None else contextlib.nullcontext():
-        records = load_bundled_studies() if args.input is None \
-            else read_study_csv(args.input)
+        records = read_study_csv(bundled_table1() if args.input is None else args.input)
         result = run_case_study(records, args.mean_method, args.sd_method)
     study_fields = ("index", "label", "n_cases", "n_controls")
     payload = result.to_dict()

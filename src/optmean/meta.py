@@ -12,10 +12,9 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, fields
-from importlib import resources
 from typing import Sequence, Union
 
-from ._table import cell_float, read_table
+from ._table import cell_float, packaged, read_table
 from .estimators import (
     PROFILES,
     SD_METHODS,
@@ -385,15 +384,8 @@ def _study_record(row: dict) -> StudyRecord:
                        payload=_parse_payload(row, n_cases, n_controls))
 
 
-def _read_studies(handle) -> list[StudyRecord]:
-    records = read_table(handle, "study", _CSV_COLUMNS, _study_record)
-    if not records:
-        raise ValueError("study CSV holds no data rows")
-    return records
-
-
-def read_study_csv(path) -> list[StudyRecord]:
-    """Read study records from a CSV file.
+def read_study_csv(source) -> list[StudyRecord]:
+    """Read study records from a CSV file: a path or a `packaged` file.
 
     Rows are ``index,label,n_cases,n_controls,payload_type,f01..f11,note``
     with payload_type one of fivenum, meansd, or, meanrange; the f-columns
@@ -401,15 +393,16 @@ def read_study_csv(path) -> list[StudyRecord]:
     README for the layout). It is read by `read_table`: ``#`` lines are
     skipped and a refused row is named by its line in the file.
     """
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        return _read_studies(handle)
+    records = read_table(source, "study", _CSV_COLUMNS, _study_record)
+    if not records:
+        raise ValueError("study CSV holds no data rows")
+    return records
 
 
 def bundled_table1():
-    """Resource handle on the bundled seven-study fixture."""
-    return resources.files("optmean").joinpath("data/table1.csv")
+    """The bundled seven-study fixture, a `packaged` file."""
+    return packaged("table1.csv")
 
 
 def load_bundled_studies() -> list[StudyRecord]:
-    with bundled_table1().open("r", encoding="utf-8", newline="") as handle:
-        return _read_studies(handle)
+    return read_study_csv(bundled_table1())

@@ -35,13 +35,12 @@ import operator
 import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial, update_wrapper
-from importlib import resources
 from typing import Mapping
 
 import numpy as np
 
 from ._rng import cell_sums, replicate_chunks, stream_key
-from ._table import cell_float, read_table
+from ._table import cell_float, packaged, read_table
 from .errors import NumericalError, ScenarioError
 
 __all__ = [
@@ -425,21 +424,20 @@ def _adaptive(evaluate) -> tuple[float, float]:
 
 
 def _quad_table_file():
-    """Resource handle on the shipped quadrature moment table."""
-    return resources.files("optmean").joinpath("data/quad_moments.csv")
+    """The shipped quadrature moment table, a `packaged` file."""
+    return packaged("quad_moments.csv")
 
 
-def _read_quad_table(handle) -> dict:
-    """The 20 moments of each size, by n, of the quadrature table open on ``handle``."""
-    return dict(read_table(handle, "quadrature moment", _QUAD_COLUMNS, lambda record: (
+def _read_quad_table(source) -> dict:
+    """The 20 moments of each size, by n, of the quadrature table at ``source``."""
+    return dict(read_table(source, "quadrature moment", _QUAD_COLUMNS, lambda record: (
         int(record["n"]), [cell_float(record[name], name) for name in _QUAD_COLUMNS[1:]])))
 
 
 @lru_cache(maxsize=None)
 def _quad_table() -> dict:
     """The shipped table, read once."""
-    with _quad_table_file().open("r", encoding="utf-8", newline="") as handle:
-        return _read_quad_table(handle)
+    return _read_quad_table(_quad_table_file())
 
 
 def _served_from_table(kernel):

@@ -56,10 +56,7 @@ def kernel_row(n: int) -> list[float]:
 
 def main() -> None:
     rows = {n: kernel_row(n) for n in SIZES}
-    old = {}
-    if os.path.exists(TABLE):
-        with open(TABLE, encoding="utf-8", newline="") as handle:
-            old = _read_quad_table(handle)
+    old = _read_quad_table(TABLE) if os.path.exists(TABLE) else {}
     with open(TABLE, "w", encoding="utf-8", newline="") as handle:
         handle.write(f"# optmean quadrature moments of the five summary order statistics, "
                      f"written by tests/make_quad_table.py {libraries()}\n")

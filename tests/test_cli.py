@@ -999,8 +999,10 @@ class TestTableFormat:
          "could not convert string to float: 'x'"),
         (["meta"], "index,label,n_cases,n_controls,payload_type,"
          "f01,f02,f03,f04,f05,f06,f07,f08,f09,f10,f11,note",
-         "1,x,40,40,meansd,1,x,2,1,,,,,,,,", "could not convert string to float: 'x'")],
-        ids=["estimate", "fit", "meta"])
+         "1,x,40,40,meansd,1,x,2,1,,,,,,,,", "could not convert string to float: 'x'"),
+        (["estimate"], "scenario,n,min,q1,median,q3,max", "s4,9,1,,2,,3",
+         "unknown scenario 's4'; expected s1, s2 or s3")],
+        ids=["estimate", "fit", "meta", "estimate-scenario"])
     def test_refused_row_names_its_physical_line(self, argv, header, row, message,
                                                  tmp_path, capsys):
         # a '#' line and two blank lines put the refused row on line 5
@@ -1010,6 +1012,24 @@ class TestTableFormat:
         assert code == EXIT_DATA
         assert out == ""
         assert err == f"optmean {argv[0]}: input error: line 5: {message}\n"
+
+    @pytest.mark.parametrize("argv,plain", [
+        (["estimate"], lambda capsys: "scenario,n,min,q1,median,q3,max\ns1,25,1,,2,,3\n"),
+        (["fit", "--scenario", "s1", "--format", "csv"], lambda capsys: run_cli(
+            ["weights", "--scenario", "s1", "--grid", "5:41:4"], capsys)[1]),
+        (["meta"], lambda capsys: bundled_table1().read_text(encoding="utf-8"))],
+        ids=["estimate", "fit", "meta"])
+    def test_leading_byte_order_mark_is_ignored(self, argv, plain, tmp_path, capsys):
+        # as Excel's "CSV UTF-8" export writes; only the `# input=` line differs
+        text, outputs = plain(capsys), []
+        for name, prefix in (("plain.csv", ""), ("bom.csv", "\ufeff")):
+            src = tmp_path / name
+            src.write_text(prefix + text, encoding="utf-8")
+            code, out, err = run_cli(argv + ["--input", str(src)], capsys)
+            assert (code, err) == (EXIT_OK, "")
+            outputs.append([line for line in out.splitlines()
+                            if not line.startswith("# input=")])
+        assert outputs[0] == outputs[1]
 
 
 class TestReproducibility:

@@ -11,6 +11,7 @@ from optmean.estimators import (
     SD_METHODS,
     FiveNumberSummary,
     combine,
+    estimate_mean,
     hozo_sd_from_range,
     mean_bland,
     mean_hozo,
@@ -164,6 +165,10 @@ class TestMeanWeighted:
             mean_weighted(summary, WeightSet(Scenario.S2, 9, 0.5))
         with pytest.raises(ValueError):
             mean_weighted(summary, WeightSet(Scenario.S1, 13, 0.5))
+
+    def test_sample_mean_of_a_summary_refused(self):
+        with pytest.raises(ValueError, match="needs the full sample, not a summary"):
+            estimate_mean(s1(9, 1.0, 4.0, 9.0), "sample_mean")
 
 
 class TestMeanOptimal:

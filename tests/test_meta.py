@@ -87,6 +87,10 @@ class TestCohensD:
         with pytest.raises(ValueError, match="finite"):
             cohens_d(1e308, 1.0, 20, -1e308, 1.0, 20)
 
+    def test_non_positive_variance_refused(self):
+        with pytest.raises(ValueError, match="effect variance must be positive"):
+            StudyEffect(0.1, 0.0)
+
     def test_non_finite_sd_refused(self):
         with pytest.raises(ValueError, match="finite"):
             cohens_d(10.0, math.inf, 20, 12.0, 8.0, 20)
@@ -318,6 +322,13 @@ class TestCaseStudy:
             run_case_study(records + [bad], "hozo_as_applied", "hozo")
         assert "study 99" in str(excinfo.value)
         assert "tiny arms" in str(excinfo.value)
+
+    def test_unsupported_payload_aborts_with_diagnostics(self):
+        bad = StudyRecord(index=1, label="opaque", n_cases=10, n_controls=12,
+                          payload=object())
+        with pytest.raises(StudyConversionError,
+                           match=r"study 1 \(opaque\): unsupported payload type object"):
+            run_case_study([bad], "optimal_approx", "wan")
 
     @pytest.mark.parametrize("n_cases,n_controls",
                              [(2.5, 3.5), (1, 10), (10**308, 10**308)])

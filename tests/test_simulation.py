@@ -206,6 +206,10 @@ class TestSummarize:
         with pytest.raises(ScenarioError):
             summarize(np.arange(8.0), "s1")
 
+    def test_rejects_two_dimensional_sample(self):
+        with pytest.raises(ValueError, match="sample must be one-dimensional"):
+            summarize(np.zeros((5, 5)), "s1")
+
 
 class TestConfigValidation:
     def test_default_methods(self):
@@ -217,6 +221,10 @@ class TestConfigValidation:
         with pytest.raises(ScenarioError):
             SimulationConfig(distribution=distribution("normal"), scenario="s1",
                              n_grid=(5, 12), replicates=2000)
+
+    def test_empty_grid_refused(self):
+        with pytest.raises(ValueError, match="n_grid must not be empty"):
+            SimulationConfig(distribution("normal"), "s1", n_grid=())
 
     def test_replicate_floor(self):
         with pytest.raises(ValueError):

@@ -50,6 +50,11 @@ class TestWeightSet:
         with pytest.raises(ScenarioError):
             WeightSet(Scenario.S1, 25, 0.3, 0.4)
 
+    def test_unknown_scenario_refused(self):
+        with pytest.raises(ScenarioError,
+                           match="unknown scenario 's4'; expected s1, s2 or s3"):
+            Scenario.parse("s4")
+
     def test_w_accessor_rejected_for_s3(self):
         ws = WeightSet(Scenario.S3, 25, 0.3, 0.4)
         with pytest.raises(ScenarioError):
@@ -146,6 +151,11 @@ class TestOptimalWeights:
             optimal_weight_s1(broken)
         with pytest.raises(NumericalError):
             optimal_weights_s3(broken)
+
+    def test_mse_of_moments_for_another_size_refused(self):
+        with pytest.raises(ValueError,
+                           match="weight set is for n=9 but moments are for n=5"):
+            weighted_mse(WeightSet(Scenario.S1, 9, 0.3), moments_quadrature(5))
 
     @given(mu=st.floats(min_value=-50, max_value=50),
            log2_sigma=st.integers(min_value=-3, max_value=6))
