@@ -5,8 +5,11 @@ from __future__ import annotations
 import csv
 import math
 import os
+import re
 from importlib import resources
 from typing import Optional
+
+_UNDECODED = re.compile("[\udc80-\udcff]")  # a non-UTF-8 byte under surrogateescape
 
 
 def packaged(name: str):
@@ -19,11 +22,17 @@ def read_table(source, what: str, columns: tuple, parse_row) -> list:
     ``source`` (a path or a `packaged` file; a leading byte-order mark is
     ignored), ``None`` dropped. Lines that start with ``#``, as the header
     of every optmean CSV does, are skipped; the column header must start
-    with ``columns``, and a refused row is named by its line in the file."""
+    with ``columns``, and a refused row or byte that is not UTF-8 is named
+    by its line in the file."""
     opener = open if isinstance(source, (str, os.PathLike)) else type(source).open
-    with opener(source, encoding="utf-8-sig", newline="") as handle:
-        numbered = [(k, line) for k, line in enumerate(handle, start=1)
-                    if not line.startswith("#")]
+    with opener(source, encoding="utf-8-sig", errors="surrogateescape",
+                newline="") as handle:
+        lines = list(enumerate(handle, start=1))
+    for k, line in lines:
+        if bad := _UNDECODED.search(line):
+            byte = ord(bad[0]) - 0xDC00
+            raise ValueError(f"{handle.name} line {k}: byte {byte:#x} is not UTF-8")
+    numbered = [(k, line) for k, line in lines if not line.startswith("#")]
     reader = csv.DictReader((line for _, line in numbered), restval="")
     if (reader.fieldnames or [])[:len(columns)] != list(columns):
         raise ValueError(f"{handle.name} is not a {what} CSV: its columns must "

@@ -21,11 +21,12 @@ erfc difference, mirrored to Phi(-x) - Phi(-y) when x + y > 0.
 counter-based streams, so its output is reproducible for a fixed ``(n,
 replicates, seed)`` regardless of how the replicates are chunked.
 
-Every inverse normal CDF, the scalar ``normal_quantile`` of the SD rules
-and the bulk transforms of drawn uniforms alike, is ``scipy.special.ndtri``.
+Every inverse normal CDF is cephes ``ndtri``: the bulk transforms of drawn
+uniforms call ``scipy.special.ndtri``, and the scalar ``normal_quantile`` of
+the SD rules is a pure-Python port of it that returns the same bits.
 ``special`` here is a handle that imports ``scipy.special`` at its first
 attribute read, so a command that never calls a special function does not
-pay that import (about 0.2 s, half of the CLI's start-up).
+pay that import (0.25-0.45 s, more than the rest of the CLI's start-up).
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import math
 import operator
 import sys
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial, update_wrapper
+from functools import cached_property, lru_cache, partial, reduce, update_wrapper
 from typing import Mapping
 
 import numpy as np
@@ -109,12 +110,51 @@ def normal_cdf(x: float) -> float:
     return 0.5 * math.erfc(-x / _SQRT2)
 
 
+# cephes ndtri (its sqrt(2 pi) is 1 ulp above _SQRT_2PI; each Q lacks its leading 1):
+# P0/Q0 for |p - 1/2| <= 1/2 - e^-2, then in 1/sqrt(-2 log p) P1/Q1 to e^-32, P2/Q2 below
+_NDTRI_P0 = (-59.96335010141079, 98.00107541859997, -56.67628574690703,
+             13.931260938727968, -1.2391658386738125)
+_NDTRI_Q0 = (1.9544885833814176, 4.676279128988815, 86.36024213908905,
+             -225.46268785411937, 200.26021238006066, -82.03722561683334,
+             15.90562251262117, -1.1833162112133)
+_NDTRI_P1 = (4.0554489230596245, 31.525109459989388, 57.16281922464213,
+             44.08050738932008, 14.684956192885803, 2.1866330685079025,
+             -0.1402560791713545, -0.03504246268278482, -0.0008574567851546854)
+_NDTRI_Q1 = (15.779988325646675, 45.39076351288792, 41.3172038254672, 15.04253856929075,
+             2.504649462083094, -0.14218292285478779, -0.03808064076915783,
+             -0.0009332594808954574)
+_NDTRI_P2 = (3.2377489177694603, 6.915228890689842, 3.9388102529247444,
+             1.3330346081580755, 0.20148538954917908, 0.012371663481782003,
+             0.00030158155350823543, 2.6580697468673755e-06, 6.239745391849833e-09)
+_NDTRI_Q2 = (6.02427039364742, 3.6798356385616087, 1.3770209948908132,
+             0.21623699359449663, 0.013420400608854318, 0.00032801446468212774,
+             2.8924786474538068e-06, 6.790194080099813e-09)
+_EXP_M2, _NDTRI_S2PI = 0.13533528323661269189, 2.50662827463100050242  # e^-2, sqrt(2 pi)
+
+
+def _polevl(x: float, coef: tuple, monic: bool = False) -> float:
+    """cephes ``polevl`` (Horner, highest power first), ``p1evl`` if ``monic``."""
+    return reduce(lambda v, c: v * x + c, coef[1:], x + coef[0] if monic else coef[0])
+
+
 def normal_quantile(p: float) -> float:
-    """Inverse standard normal CDF, ``scipy.special.ndtri`` on (0, 1)."""
+    """Inverse standard normal CDF on (0, 1): cephes ``ndtri``, operation for
+    operation, so it returns the bits of ``scipy.special.ndtri``."""
     p = float(p)
     if not 0.0 < p < 1.0:
         raise ValueError(f"probability must lie strictly in (0, 1), got {p!r}")
-    return float(special.ndtri(p))
+    upper = p > 1.0 - _EXP_M2
+    y = 1.0 - p if upper else p
+    if y > _EXP_M2:
+        y -= 0.5
+        y2 = y * y
+        return (y + y * (y2 * _polevl(y2, _NDTRI_P0) / _polevl(y2, _NDTRI_Q0, True))) \
+            * _NDTRI_S2PI
+    x = math.sqrt(-2.0 * math.log(y))
+    z = 1.0 / x
+    num, den = (_NDTRI_P1, _NDTRI_Q1) if x < 8.0 else (_NDTRI_P2, _NDTRI_Q2)
+    x = x - math.log(x) / x - z * _polevl(z, num) / _polevl(z, den, True)
+    return x if upper else -x
 
 
 # ---------------------------------------------------------------------------

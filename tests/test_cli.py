@@ -952,6 +952,15 @@ OUTPUT_SHAPES = [
 ]
 
 
+# each command that reads an --input table, with a table it accepts
+_EACH_TABLE_READER = pytest.mark.parametrize("argv,plain", [
+    (["estimate"], lambda capsys: "scenario,n,min,q1,median,q3,max\ns1,25,1,,2,,3\n"),
+    (["fit", "--scenario", "s1", "--format", "csv"], lambda capsys: run_cli(
+        ["weights", "--scenario", "s1", "--grid", "5:41:4"], capsys)[1]),
+    (["meta"], lambda capsys: bundled_table1().read_text(encoding="utf-8"))],
+    ids=["estimate", "fit", "meta"])
+
+
 class TestTableFormat:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("argv,body", OUTPUT_SHAPES,
@@ -1013,12 +1022,7 @@ class TestTableFormat:
         assert out == ""
         assert err == f"optmean {argv[0]}: input error: line 5: {message}\n"
 
-    @pytest.mark.parametrize("argv,plain", [
-        (["estimate"], lambda capsys: "scenario,n,min,q1,median,q3,max\ns1,25,1,,2,,3\n"),
-        (["fit", "--scenario", "s1", "--format", "csv"], lambda capsys: run_cli(
-            ["weights", "--scenario", "s1", "--grid", "5:41:4"], capsys)[1]),
-        (["meta"], lambda capsys: bundled_table1().read_text(encoding="utf-8"))],
-        ids=["estimate", "fit", "meta"])
+    @_EACH_TABLE_READER
     def test_leading_byte_order_mark_is_ignored(self, argv, plain, tmp_path, capsys):
         # as Excel's "CSV UTF-8" export writes; only the `# input=` line differs
         text, outputs = plain(capsys), []
@@ -1030,6 +1034,25 @@ class TestTableFormat:
             outputs.append([line for line in out.splitlines()
                             if not line.startswith("# input=")])
         assert outputs[0] == outputs[1]
+
+
+    @_EACH_TABLE_READER
+    def test_byte_that_is_not_utf8_names_its_file_and_line(self, argv, plain, tmp_path,
+                                                           capsys):
+        # a Latin-1 byte on the last line, and a UTF-16 export (its byte-order
+        # mark 0xff 0xfe on line 1); both are data errors, not a bare codec error
+        text = plain(capsys)
+        last = text.rstrip("\n").rfind("\n") + 1  # where the last line starts
+        for name, data, line, byte in (
+                ("latin1.csv", text[:last].encode() + b"\xe9" + text[last:].encode(),
+                 text.count("\n"), "0xe9"),
+                ("utf16.csv", text.encode("utf-16"), 1, "0xff")):
+            src = tmp_path / name
+            src.write_bytes(data)
+            code, out, err = run_cli(argv + ["--input", str(src)], capsys)
+            assert (code, out) == (EXIT_DATA, "")
+            assert err == (f"optmean {argv[0]}: input error: {src} line {line}: "
+                           f"byte {byte} is not UTF-8\n")
 
 
 class TestReproducibility:
@@ -1331,12 +1354,15 @@ class TestStartup:
                          "s1", "--grid", "5:9:4", "--reps", "1000"],
             "refusal": ["weights", "--scenario", "s1", "--n", "505"],
             "meta": ["meta", "--profile", "table2"],
+            "wan-sd": ["estimate", "--scenario", "s1", "--n", "25", "--min", "1",
+                       "--median", "5", "--max", "12", "--method", "wan-sd"],
         }
         report = _startup_report(commands, tmp_path)
         assert report["loaded"] == {
             "import": False, "help": [EXIT_OK, False], "estimate": [EXIT_OK, False],
             "fit": [EXIT_OK, False], "simulate": [EXIT_OK, False],
-            "refusal": [EXIT_USAGE, False], "meta": [EXIT_OK, True]}
+            "refusal": [EXIT_USAGE, False], "meta": [EXIT_OK, False],
+            "wan-sd": [EXIT_OK, False]}
         assert f"scipy {scipy.__version__}" in report["header"]
 
     def test_beta_draws_leave_scipy_special_unloaded(self, tmp_path):
@@ -1370,15 +1396,16 @@ class TestStartup:
             "weights": ["weights", "--scenario", "s3", "--n", "377"],
             "fit": ["fit", "--scenario", "s1", "--grid", "5:41:4"],
             "fit-input": ["fit", "--scenario", "s3", "--input", str(table)],
+            "wan-sd": ["estimate", *ONE_S1, "--method", "wan-sd"],
         }
         report = _modules_report(loads_none, tmp_path)
         assert report == {"import": [], **{label: [EXIT_USAGE if label == "refusal"
                                                    else EXIT_OK, []]
                                            for label in loads_none}}
-        # a fresh process each; meta's special functions load `scipy.special`,
-        # which imports `numpy.random` itself
+        # a fresh process each; meta's p-value and SD rules need no special
+        # function, so it loads only itself, while the draws load `numpy.random`
         for argv, modules in [
-                (["meta"], ["optmean.meta", "numpy.random"]),
+                (["meta"], ["optmean.meta"]),
                 (["simulate", "--distribution", "normal", "--scenario", "s1", "--grid",
                   "5:9:4", "--reps", "1000"], ["optmean.simulation", "numpy.random"]),
                 (["weights", "--scenario", "s1", "--n", "9", "--backend", "mc", "--reps",

@@ -176,6 +176,65 @@ class TestHeterogeneity:
             100.0 * (het.q - het.df) / het.q, rel=1e-15)
 
 
+def _chi2_upper_tail_oracle(q: float, df: int) -> float:
+    """P(chi2_df >= q) from mpmath at 40 digits, rounded to a float."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        return float(mp.gammainc(mp.mpf(df) / 2, mp.mpf(q) / 2, regularized=True))
+
+
+def _heterogeneity_at(q: float, df: int):
+    """`heterogeneity` of df + 1 unit-variance studies: d = +-sqrt(q/2) and
+    zeros, so d_bar = 0 and Q rounds near q."""
+    c = math.sqrt(q / 2.0)
+    return heterogeneity([StudyEffect(d=c, var_d=1.0), StudyEffect(d=-c, var_d=1.0)]
+                         + [StudyEffect(d=0.0, var_d=1.0)] * (df - 1))
+
+
+class TestHeterogeneityPValue:
+    """The closed-form chi-square tail against mpmath's regularized
+    incomplete gamma function, from the centre out past p = 1e-300."""
+
+    @staticmethod
+    def _q_grid(df):
+        return [df * s for s in (0.02, 0.1, 0.3, 0.6, 0.9, 1.0, 1.2, 1.6, 2.5, 4.0)] \
+            + [df + 50.0 * k for k in (2, 6, 12, 20, 30)]
+
+    @pytest.mark.parametrize("dfs", [range(1, 41), range(41, 201)], ids=["1-40", "41-200"])
+    def test_within_16_ulp_up_to_200_df(self, dfs):
+        for df in dfs:
+            for q in self._q_grid(df):
+                het = _heterogeneity_at(q, df)
+                want = _chi2_upper_tail_oracle(het.q, df)
+                assert abs(het.p_value - want) <= 16 * math.ulp(want), (df, het.q)
+
+    @pytest.mark.parametrize("df", [201, 317, 640, 1000, 1999, 2000, 2847, 4000])
+    def test_within_5e13_relative_up_to_4000_df(self, df):
+        # the relative bound is floored at the smallest subnormal, and a tail
+        # below 1e-300 must stay below it
+        floor = 2.0 ** -1074
+        for q in self._q_grid(df) + [5.0 * df, 3.0 * df + 2000.0]:
+            het = _heterogeneity_at(q, df)
+            want = _chi2_upper_tail_oracle(het.q, df)
+            assert abs(het.p_value - want) <= max(5e-13 * want, floor), (df, het.q)
+            if want < 1e-300:
+                assert het.p_value < 1e-300
+
+    def test_q_near_df_at_1999_df_does_not_underflow(self):
+        # 2,000 studies with Q = 2000 on 1999 df: e^(-Q/2) is 0.0 as a float,
+        # yet the tail is about 0.49
+        het = heterogeneity([StudyEffect(d=(-1.0) ** k, var_d=1.0) for k in range(2000)])
+        assert (het.q, het.df) == (2000.0, 1999)
+        want = _chi2_upper_tail_oracle(het.q, het.df)
+        assert 0.48 < want < 0.5
+        assert abs(het.p_value - want) <= 1e-12
+
+    def test_ends(self):
+        assert _heterogeneity_at(0.0, 1).p_value == 1.0
+        assert _heterogeneity_at(0.0, 4).p_value == 1.0
+        assert _heterogeneity_at(1e300, 1999).p_value == 0.0
+
+
 class TestPooling:
     def test_homogeneous_studies_pool_to_common_effect(self):
         effects = [StudyEffect(d=0.4, var_d=0.05)] * 5
