@@ -12,7 +12,13 @@ Exit codes follow where a refused value came from: 0 success, 2 a flag
 or an unallocatable draw. `main` alone maps an exception to its code.
 
 A command loads only the modules it runs: `simulate` and `meta` import theirs
-when called, so a process that runs neither does not pay for them.
+when called, so a process that runs neither does not pay for them. numpy and
+scipy load at a command's first computation with them (an exact weight solve,
+a fit, a Monte Carlo moment or a draw; see `order_stats`), so the import,
+``--help``, a refused flag, `estimate` by a closed-form weight or SD rule and
+`meta` by its default methods load neither. The header's numpy and scipy
+versions are read from each package's own ``version.py``, the file its
+``__init__`` takes ``__version__`` from, without importing the package.
 """
 
 from __future__ import annotations
@@ -21,15 +27,14 @@ import argparse
 import contextlib
 import csv
 import dataclasses
+import functools
+import importlib.util
 import io
 import json
 import os
 import platform
 import re
 import sys
-
-import numpy
-import scipy
 
 from . import __version__
 from ._table import cell_float, read_table
@@ -52,9 +57,27 @@ EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_NUMERICAL = 4
 
-# the MC bits rest on numpy's Philox and scipy's special functions
-_LIBRARIES = {"python": platform.python_version(), "numpy": numpy.__version__,
-              "scipy": scipy.__version__}
+def _package_version(name: str) -> str:
+    """The version of the installed package ``name``: the ``version`` of the
+    ``version.py`` its ``__init__`` takes ``__version__`` from, run on its own
+    so the package is not imported, or the imported package's ``__version__``
+    where that file cannot run alone."""
+    path = os.path.join(importlib.util.find_spec(name).submodule_search_locations[0],
+                        "version.py")
+    try:
+        with open(path, encoding="utf-8") as handle:
+            namespace = {}
+            exec(compile(handle.read(), path, "exec"), namespace)
+        return namespace["version"]
+    except (OSError, ImportError, KeyError):  # no such file, or not one that runs alone
+        return importlib.import_module(name).__version__
+
+
+@functools.lru_cache(maxsize=None)
+def _libraries() -> dict:
+    # the MC bits rest on numpy's Philox and scipy's special functions
+    return {"python": platform.python_version(), "numpy": _package_version("numpy"),
+            "scipy": _package_version("scipy")}
 
 
 def _fmt(value) -> str:
@@ -63,7 +86,9 @@ def _fmt(value) -> str:
     if isinstance(value, float):
         # ten digits, unless they round past the float range and read back as inf
         text = format(value, ".10g")
-        return text if abs(float(text)) <= sys.float_info.max else repr(value)
+        if abs(value) < 1.79e308 or abs(float(text)) <= sys.float_info.max:
+            return text
+        return repr(value)
     return str(value)
 
 
@@ -129,10 +154,10 @@ def _emit(args, fields, rows, document=None, footer=()):
     if args.format == "json":
         body = document or {"rows": [dict(zip(fields, row)) for row in rows]}
         text = json.dumps({"command": args.command, "version": __version__,
-                           "config": {**config, "libraries": _LIBRARIES}, **body},
+                           "config": {**config, "libraries": _libraries()}, **body},
                           indent=2, sort_keys=True) + "\n"
     else:
-        libraries = ", ".join(f"{name} {v}" for name, v in _LIBRARIES.items())
+        libraries = ", ".join(f"{name} {v}" for name, v in _libraries().items())
         buffer = io.StringIO()
         buffer.write(f"# optmean {__version__} {args.command} ({libraries})\n")
         buffer.writelines(f"# {key}={config[key]}\n" for key in sorted(config))

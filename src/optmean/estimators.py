@@ -13,11 +13,11 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from typing import Callable, Optional
 
 from .errors import ScenarioError
-from .order_stats import SUMMARY_FIELDS, OrderStatMoments, _SUMMARY_PARTS, \
+from .order_stats import SUMMARY_FIELDS, OrderStatMoments, _PART_ROWS, \
     check_sample_size, moments_quadrature, normal_quantile, summary_parts
 from .weights import Scenario, WeightSet, approx_weight, optimal_weights
 
@@ -45,10 +45,14 @@ __all__ = [
 
 # the summary fields whose values feed each scenario's parts
 FIELDS_BY_SCENARIO = {
-    scenario: tuple(name for name, used in zip(
-        SUMMARY_FIELDS, _SUMMARY_PARTS[scenario.parts].any(axis=0)) if used)
+    scenario: tuple(name for k, name in enumerate(SUMMARY_FIELDS)
+                    if any(_PART_ROWS[part][k] for part in scenario.parts))
     for scenario in Scenario
 }
+_SUMMARY_VALUES = operator.attrgetter(*SUMMARY_FIELDS)
+# per scenario, whether each `SUMMARY_FIELDS` entry is present
+_PRESENT = {scenario: tuple(name in fields for name in SUMMARY_FIELDS)
+            for scenario, fields in FIELDS_BY_SCENARIO.items()}
 
 
 @dataclass(frozen=True)
@@ -69,25 +73,27 @@ class FiveNumberSummary:
     def __post_init__(self):
         object.__setattr__(self, "scenario", Scenario.parse(self.scenario))
         object.__setattr__(self, "n", check_sample_size(self.n))
-        wanted = FIELDS_BY_SCENARIO[self.scenario]
-        for name, value in zip(SUMMARY_FIELDS, self.values()):
-            if name in wanted and value is None:
-                raise ScenarioError(
-                    f"scenario {self.scenario.value} requires field {name!r}"
-                )
-            if name not in wanted and value is not None:
-                raise ScenarioError(
-                    f"scenario {self.scenario.value} does not take field {name!r}"
-                )
-        values = self.present_values()
-        if not all(math.isfinite(v) for v in values):
+        values = self.values()
+        if tuple(v is not None for v in values) != _PRESENT[self.scenario]:
+            for name, value, wanted in zip(SUMMARY_FIELDS, values,
+                                           _PRESENT[self.scenario]):
+                if wanted and value is None:
+                    raise ScenarioError(
+                        f"scenario {self.scenario.value} requires field {name!r}"
+                    )
+                if not wanted and value is not None:
+                    raise ScenarioError(
+                        f"scenario {self.scenario.value} does not take field {name!r}"
+                    )
+        values = tuple(v for v in values if v is not None)
+        if not all(map(math.isfinite, values)):
             raise ValueError(f"summary values must be finite, got {values}")
-        if any(lo > hi for lo, hi in zip(values, values[1:])):
+        if values != tuple(sorted(values)):
             raise ValueError(f"summary values must be ordered, got {values}")
 
     def values(self) -> tuple[Optional[float], ...]:
         """The five values in `SUMMARY_FIELDS` order, None where absent."""
-        return tuple(getattr(self, name) for name in SUMMARY_FIELDS)
+        return _SUMMARY_VALUES(self)
 
     def present_values(self) -> tuple[float, ...]:
         """The reported values in their natural order."""
@@ -132,6 +138,11 @@ def _optimal_exact(scenario, n, moments):
                            scenario)
 
 
+# The closed-form weights of each (scenario, n), built once; a refused size
+# raises again at each call, as `lru_cache` stores no exception.
+_approx_weights = lru_cache(maxsize=1024)(approx_weight)
+
+
 _ALL = frozenset(Scenario)
 
 METHODS = {
@@ -149,7 +160,7 @@ METHODS = {
     # Bland: (a + 2 q1 + 2m + 2 q3 + b)/8
     "bland": Method(frozenset({Scenario.S3}), _legacy(0.25, 0.5), "bland", default=True),
     "optimal_approx": Method(
-        _ALL, lambda scenario, n, moments: approx_weight(scenario, n),
+        _ALL, lambda scenario, n, moments: _approx_weights(scenario, n),
         "optimal_approx", default=True),
     "optimal_exact": Method(_ALL, _optimal_exact, "optimal_exact"),
 }

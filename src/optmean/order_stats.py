@@ -24,13 +24,21 @@ replicates, seed)`` regardless of how the replicates are chunked.
 Every inverse normal CDF is cephes ``ndtri``: the bulk transforms of drawn
 uniforms call ``scipy.special.ndtri``, and the scalar ``normal_quantile`` of
 the SD rules is a pure-Python port of it that returns the same bits.
-``special`` here is a handle that imports ``scipy.special`` at its first
-attribute read, so a command that never calls a special function does not
-pay that import (0.25-0.45 s, more than the rest of the CLI's start-up).
+
+numpy and scipy load when a computation first needs them, not at import:
+``np`` and ``special`` here are `_OnFirstUse` handles, which import
+``numpy`` and ``scipy.special`` at their first attribute read, and `_rng` is
+imported at the first draw. numpy thus first loads with the covariance of
+the summary parts (each exact weight solve), a fit or a Monte Carlo draw; a
+table row is served without it. ``scipy.special`` first loads with a Monte
+Carlo moment or an integrated quadrature (it costs 0.25-0.45 s, more than the
+rest of the CLI's start-up). The scalar paths (closed-form weights, the SD
+rules, pooling) load neither.
 """
 
 from __future__ import annotations
 
+import importlib
 import math
 import operator
 import sys
@@ -38,9 +46,6 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial, reduce, update_wrapper
 from typing import Mapping
 
-import numpy as np
-
-from ._rng import cell_sums, replicate_chunks, stream_key
 from ._table import cell_float, packaged, read_table
 from .errors import NumericalError, ScenarioError
 
@@ -64,15 +69,20 @@ __all__ = [
 ]
 
 
-class _SpecialOnFirstUse:
-    """``scipy.special``, imported when an attribute is first read."""
+class _OnFirstUse:
+    """The module ``name``, imported when one of its attributes is first read;
+    each attribute read is kept, so later reads skip this lookup."""
 
-    def __getattr__(self, name):
-        from scipy import special
-        return getattr(special, name)
+    def __init__(self, name: str):
+        self._name = name
+
+    def __getattr__(self, attr):
+        value = getattr(importlib.import_module(self._name), attr)
+        setattr(self, attr, value)
+        return value
 
 
-special = _SpecialOnFirstUse()
+np, special = _OnFirstUse("numpy"), _OnFirstUse("scipy.special")
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -296,16 +306,40 @@ class OrderStatMoments:
         return self._summary_covariance
 
     @cached_property
+    def _solved(self) -> dict:
+        """The weight sets `weights.optimal_weights` solved from these moments,
+        by scenario: each is solved once per instance."""
+        return {}
+
+    @cached_property
     def _summary_covariance(self) -> np.ndarray:
         ranks = self.index_set.indices
         sigma = np.array([[self.cov(i, j) for j in ranks] for i in ranks])
-        parts = _SUMMARY_PARTS @ sigma @ _SUMMARY_PARTS.T
+        matrix = _summary_parts_matrix()
+        parts = matrix @ sigma @ matrix.T
         parts.flags.writeable = False
         return parts
 
 
-# Rows map the five summary ranks (a, q1, m, q3, b) to the estimator parts.
-_SUMMARY_PARTS = np.array(summary_parts(*np.eye(5)))
+# Rows map the five summary ranks (a, q1, m, q3, b) to the estimator parts:
+# `summary_parts` of each unit summary is one column.
+_PART_ROWS = tuple(zip(*(summary_parts(*(float(k == rank) for k in range(5)))
+                         for rank in range(5))))
+
+
+@lru_cache(maxsize=None)
+def _summary_parts_matrix():
+    """`_PART_ROWS` as a read-only float64 array, built at its first use."""
+    matrix = np.array(_PART_ROWS)
+    matrix.flags.writeable = False
+    return matrix
+
+
+def __getattr__(name):
+    # ``_SUMMARY_PARTS`` is the matrix, served without importing numpy at import
+    if name == "_SUMMARY_PARTS":
+        return _summary_parts_matrix()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _rank_pairs(ranks) -> list:
@@ -527,6 +561,8 @@ def moments_mc(n: int, replicates: int, seed: int) -> OrderStatMoments:
     added, so the result is bit-identical for a given ``(n, replicates,
     seed)`` no matter how the replicates are chunked.
     """
+    from ._rng import cell_sums, replicate_chunks, stream_key
+
     replicates = check_moment_domain((n,), replicates)
     idx = OrderIndexSet.from_size(n)
     n = idx.n

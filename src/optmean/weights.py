@@ -22,10 +22,9 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .errors import FitConvergenceError, NumericalError, ScenarioError
-from .order_stats import OrderStatMoments, check_sample_size
+# numpy loads at the first exact solve or fit: `approx_weight` needs none
+from .order_stats import OrderStatMoments, check_sample_size, np
 
 __all__ = [
     "Scenario",
@@ -132,9 +131,17 @@ def optimal_weights(moments: OrderStatMoments, scenario) -> WeightSet:
     For parts with covariance C, c = C^-1 1 / (1' C^-1 1) minimises
     Var(c' parts) subject to sum(c) = 1 (Lloyd 1952, Biometrika 39). A C
     that is not positive definite (Cholesky fails) or a weight outside
-    (0, 1) means the moments are inconsistent: `NumericalError`.
+    (0, 1) means the moments are inconsistent: `NumericalError`. The weights
+    are solved once per scenario of a moments instance, so a batch over
+    cached moments solves each (scenario, n) once; a refusal is not kept.
     """
     scenario = Scenario.parse(scenario)
+    if scenario not in moments._solved:
+        moments._solved[scenario] = _solve(moments, scenario)
+    return moments._solved[scenario]
+
+
+def _solve(moments: OrderStatMoments, scenario: Scenario) -> WeightSet:
     cov = _parts_covariance(moments, scenario)
     try:
         np.linalg.cholesky(cov)

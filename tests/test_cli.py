@@ -1,6 +1,7 @@
 """Command-line surface: flags, formats, exit codes, reproducibility."""
 
 import csv
+import dataclasses
 import io
 import itertools
 import json
@@ -20,7 +21,8 @@ from optmean.estimators import METHODS, SD_METHODS, SUMMARY_METHODS, \
 from optmean.errors import NumericalError, ScenarioError
 from optmean.meta import bundled_table1, cohens_d, load_bundled_studies, \
     read_study_csv, run_case_study
-from optmean.weights import Scenario
+from optmean.order_stats import moments_quadrature
+from optmean.weights import Scenario, optimal_weights
 
 
 def run_cli(args, capsys):
@@ -1337,6 +1339,39 @@ def _modules_report(commands: dict, cwd) -> dict:
     return json.loads(proc.stdout)
 
 
+# Like `_MODULES_SCRIPT`, but notes whether numpy and scipy are loaded, keeps
+# the first line `meta --profile table3` writes, and only then imports both
+# packages for their versions.
+_LIBRARIES_SCRIPT = """
+import contextlib, io, json, sys
+import optmean.cli
+loaded = {"import": [None, sorted({"numpy", "scipy"} & set(sys.modules))]}
+header = None
+for label, argv in json.loads(sys.argv[1]).items():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = optmean.cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    loaded[label] = [code, sorted({"numpy", "scipy"} & set(sys.modules))]
+    if label == "table3":
+        header = out.getvalue().splitlines()[0]
+import numpy, scipy
+print(json.dumps({"loaded": loaded, "header": header,
+                  "versions": [numpy.__version__, scipy.__version__]}))
+"""
+
+
+def _libraries_report(commands: dict, cwd) -> dict:
+    src = os.path.dirname(os.path.dirname(optmean.__file__))
+    proc = subprocess.run([sys.executable, "-c", _LIBRARIES_SCRIPT, json.dumps(commands)],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), cwd=cwd, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
 class TestStartup:
     """Commands that call no special function leave `scipy.special` unloaded."""
 
@@ -1413,6 +1448,46 @@ class TestStartup:
             assert _modules_report({"run": argv}, tmp_path) == {
                 "import": [], "run": [EXIT_OK, modules]}
 
+    def test_scalar_commands_load_neither_numpy_nor_scipy(self, tmp_path):
+        studies = tmp_path / "studies.csv"
+        studies.write_text(bundled_table1().read_text(encoding="utf-8"))
+        loads_neither = {
+            "help": ["--help"],
+            "refusal": ["weights", "--scenario", "s1", "--n", "505"],
+            **{method: ["estimate", *ONE_S1, "--method", method]
+               for method in ("optimal-approx", "hozo", "wan-sd")},
+            "weighted": ["estimate", *ONE_S1, "--method", "weighted", "--weight", "0.3"],
+            "table2": ["meta", "--profile", "table2"],
+            "table3": ["meta", "--profile", "table3"],
+            "meta-input": ["meta", "--input", str(studies)],
+        }
+        # these compute with numpy, so they run last in the process
+        load_numpy = {
+            "exact": ["estimate", *ONE_S1, "--method", "optimal-exact"],
+            "weights": ["weights", "--scenario", "s3", "--n", "377"],
+            "fit": ["fit", "--scenario", "s1", "--grid", "5:41:4"],
+        }
+        report = _libraries_report({**loads_neither, **load_numpy}, tmp_path)
+        loaded = report["loaded"]
+        assert {label: loaded.pop(label)[0] for label in load_numpy} == dict.fromkeys(
+            load_numpy, EXIT_OK)
+        assert loaded == {"import": [None, []], **{
+            label: [EXIT_USAGE if label == "refusal" else EXIT_OK, []]
+            for label in loads_neither}}
+        # the versions were imported after every header above was written
+        numpy_version, scipy_version = report["versions"]
+        assert report["header"].startswith(f"# optmean {optmean.__version__} meta (")
+        assert report["header"].endswith(f", numpy {numpy_version}, "
+                                         f"scipy {scipy_version})")
+
+    def test_package_version_is_the_imported_version(self):
+        # json has no version.py, so its version comes from the imported package
+        import json as no_version_file
+        import numpy
+        import scipy
+        assert [cli._package_version(name) for name in ("numpy", "scipy", "json")] == [
+            numpy.__version__, scipy.__version__, no_version_file.__version__]
+
     def test_moment_cache_keeps_its_surface_and_kernel(self, monkeypatch):
         # the benchmark's tracer counts cache_info().hits and calls cache_clear()
         integrals = set()
@@ -1436,6 +1511,53 @@ class TestStartup:
 
 
 ONE_S1 = ["--scenario", "s1", "--n", "25", "--min", "1", "--median", "2", "--max", "3"]
+
+
+class TestPerSizeWeights:
+    """`estimate` builds the weights of each (scenario, n) once, yet a row is
+    refused at its own line, and a cached weight set is the one a fresh solve
+    gives."""
+
+    HEADER = "scenario,n,min,q1,median,q3,max\n"
+
+    @pytest.mark.parametrize("method", ["optimal-approx", "optimal-exact"])
+    @pytest.mark.parametrize("row, message", [
+        ("s1,9,5,,2,,3", "summary values must be ordered, got (5.0, 2.0, 3.0)"),
+        ("s1,9,1,2,3,,9", "scenario s1 does not take field 'q1'")],
+        ids=["unordered", "field"])
+    def test_refused_repeat_of_a_size_names_its_line(self, method, row, message,
+                                                     tmp_path, capsys):
+        src = tmp_path / "summaries.csv"
+        src.write_text(self.HEADER + "s1,9,1,,2,,3\ns1,9,0,,4,,10\n" + row + "\n")
+        code, out, err = run_cli(["estimate", "--method", method, "--input", str(src)],
+                                 capsys)
+        assert (code, out) == (EXIT_DATA, "")
+        assert err == f"optmean estimate: input error: line 4: {message}\n"
+
+    @pytest.mark.parametrize("method, n, message", [
+        ("optimal_approx", 4.5, "sample size must be an integer >= 5"),
+        ("optimal_exact", 505, "quadrature supports n <= 501, got 505")])
+    def test_refused_size_is_refused_again(self, method, n, message):
+        for _ in range(2):
+            with pytest.raises(ValueError, match=message):
+                METHODS[method].weights(Scenario.S1, n, None)
+
+    def test_repeated_size_has_the_weights_of_a_fresh_solve(self, tmp_path, capsys):
+        src = tmp_path / "summaries.csv"
+        src.write_text(self.HEADER + "s3,29,1,4.5,6,9,20\ns1,29,1,,6,,20\n"
+                       "s3,29,0,4,5,8,19\ns1,29,2,,6,,20\ns2,29,,4,5,8,\n")
+        code, out, _ = run_cli(["estimate", "--method", "optimal-exact", "--input",
+                                str(src), "--format", "json"], capsys)
+        assert code == EXIT_OK
+        for row in json.loads(out)["rows"]:
+            # a copy of the served moments has solved nothing yet
+            fresh = optimal_weights(dataclasses.replace(moments_quadrature(29)),
+                                    row["scenario"])
+            assert [repr(row["w1"]), repr(row["w2"])] == [repr(fresh.w1), repr(fresh.w2)]
+        first, again = (estimate_mean(FiveNumberSummary(
+            scenario="s3", n=29, minimum=low, q1=4.5, median=6.0, q3=9.0, maximum=20.0),
+            "optimal_exact").weight_set for low in (0.0, 1.0))
+        assert again is first
 
 
 class TestUnreadFlags:
