@@ -13,12 +13,14 @@ or an unallocatable draw. `main` alone maps an exception to its code.
 
 A command loads only the modules it runs: `simulate` and `meta` import theirs
 when called, so a process that runs neither does not pay for them. numpy and
-scipy load at a command's first computation with them (an exact weight solve,
-a fit, a Monte Carlo moment or a draw; see `order_stats`), so the import,
-``--help``, a refused flag, `estimate` by a closed-form weight or SD rule and
-`meta` by its default methods load neither. The header's numpy and scipy
-versions are read from each package's own ``version.py``, the file its
-``__init__`` takes ``__version__`` from, without importing the package.
+scipy load at a command's first computation with them (a fit, a Monte Carlo
+moment or a draw; see `order_stats`), so the import, ``--help``, a refused
+flag, `estimate` by a closed-form weight or SD rule, `weights` and `estimate
+--method optimal-exact` on the shipped quadrature table, whose exact weights
+are solved in Python floats, and `meta` by its default methods load neither.
+The header's numpy and scipy versions are read from each package's own
+``version.py``, the file its ``__init__`` takes ``__version__`` from, without
+importing the package.
 """
 
 from __future__ import annotations

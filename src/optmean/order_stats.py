@@ -28,12 +28,13 @@ the SD rules is a pure-Python port of it that returns the same bits.
 numpy and scipy load when a computation first needs them, not at import:
 ``np`` and ``special`` here are `_OnFirstUse` handles, which import
 ``numpy`` and ``scipy.special`` at their first attribute read, and `_rng` is
-imported at the first draw. numpy thus first loads with the covariance of
-the summary parts (each exact weight solve), a fit or a Monte Carlo draw; a
-table row is served without it. ``scipy.special`` first loads with a Monte
-Carlo moment or an integrated quadrature (it costs 0.25-0.45 s, more than the
-rest of the CLI's start-up). The scalar paths (closed-form weights, the SD
-rules, pooling) load neither.
+imported at the first draw. numpy thus first loads with a fit, a Monte Carlo
+draw or the array `OrderStatMoments.summary_covariance`; a table row, the
+covariance of its summary parts as Python floats and the exact weights solved
+from it need none. ``scipy.special`` first loads with a Monte Carlo moment or
+an integrated quadrature (it costs 0.25-0.45 s, more than the rest of the
+CLI's start-up). The scalar paths (closed-form weights, the SD rules,
+pooling) load neither.
 """
 
 from __future__ import annotations
@@ -300,10 +301,25 @@ class OrderStatMoments:
         """Covariance of (mid-range, mid-quartile range, median); symmetric PSD.
 
         These are the parts every weighted mean estimator combines, in
-        sigma^2 = 1 units: L Sigma L' with Sigma the covariance of the five
-        summary ranks. Built once per instance and handed out read-only.
+        sigma^2 = 1 units: `parts_covariance` as an array, built once per
+        instance and handed out read-only.
         """
         return self._summary_covariance
+
+    @cached_property
+    def parts_covariance(self) -> tuple[tuple[float, ...], ...]:
+        """`summary_covariance` as rows of Python floats, built without numpy.
+
+        L Sigma L' with Sigma the covariance of the five summary ranks and L
+        the `_PART_ROWS`, taken as (L Sigma) L' = (Sigma L')' L' as Sigma is
+        symmetric. These are the bits of numpy's matmul of the same factors:
+        L holds only 0, 1/2 and 1, so every product is exact, and each entry
+        adds its five in rank order.
+        """
+        ranks, means, second = self.index_set.indices, self.means, self.second_moments
+        sigma = [[second[(i, j) if i <= j else (j, i)] - means[i] * means[j]
+                  for j in ranks] for i in ranks]
+        return tuple(map(tuple, _times_parts(zip(*_times_parts(sigma)))))
 
     @cached_property
     def _solved(self) -> dict:
@@ -313,12 +329,16 @@ class OrderStatMoments:
 
     @cached_property
     def _summary_covariance(self) -> np.ndarray:
-        ranks = self.index_set.indices
-        sigma = np.array([[self.cov(i, j) for j in ranks] for i in ranks])
-        matrix = _summary_parts_matrix()
-        parts = matrix @ sigma @ matrix.T
+        parts = np.array(self.parts_covariance)
         parts.flags.writeable = False
         return parts
+
+
+def _times_parts(rows) -> list:
+    """Each of ``rows`` times each of `_PART_ROWS`: five products, added left to
+    right (never by `sum`, which compensates its additions from Python 3.12)."""
+    return [[x0 * p0 + x1 * p1 + x2 * p2 + x3 * p3 + x4 * p4
+             for p0, p1, p2, p3, p4 in _PART_ROWS] for x0, x1, x2, x3, x4 in rows]
 
 
 # Rows map the five summary ranks (a, q1, m, q3, b) to the estimator parts:
@@ -327,18 +347,13 @@ _PART_ROWS = tuple(zip(*(summary_parts(*(float(k == rank) for k in range(5)))
                          for rank in range(5))))
 
 
-@lru_cache(maxsize=None)
-def _summary_parts_matrix():
-    """`_PART_ROWS` as a read-only float64 array, built at its first use."""
-    matrix = np.array(_PART_ROWS)
-    matrix.flags.writeable = False
-    return matrix
-
-
 def __getattr__(name):
-    # ``_SUMMARY_PARTS`` is the matrix, served without importing numpy at import
+    # ``_SUMMARY_PARTS`` is `_PART_ROWS` as a read-only array, built at each
+    # read so that importing this module does not import numpy
     if name == "_SUMMARY_PARTS":
-        return _summary_parts_matrix()
+        matrix = np.array(_PART_ROWS)
+        matrix.flags.writeable = False
+        return matrix
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

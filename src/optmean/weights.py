@@ -18,12 +18,15 @@ Scenarios name which fragment a study reports:
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
+from functools import reduce
 from typing import Optional, Sequence
 
 from .errors import FitConvergenceError, NumericalError, ScenarioError
-# numpy loads at the first exact solve or fit: `approx_weight` needs none
+# numpy loads at the first fit or `weighted_mse`: the weights, exact and
+# approximate, are solved in Python floats
 from .order_stats import OrderStatMoments, check_sample_size, np
 
 __all__ = [
@@ -121,8 +124,10 @@ class WeightSet:
         return (*(w for w in (self.w1, self.w2) if w is not None), self.median_weight)
 
 
-def _parts_covariance(moments: OrderStatMoments, scenario: Scenario) -> np.ndarray:
-    return moments.summary_covariance()[np.ix_(scenario.parts, scenario.parts)]
+def _parts_covariance(moments: OrderStatMoments, scenario: Scenario) -> list:
+    """The rows of `OrderStatMoments.parts_covariance` on ``scenario.parts``."""
+    cov = moments.parts_covariance
+    return [[cov[i][j] for j in scenario.parts] for i in scenario.parts]
 
 
 def optimal_weights(moments: OrderStatMoments, scenario) -> WeightSet:
@@ -130,10 +135,11 @@ def optimal_weights(moments: OrderStatMoments, scenario) -> WeightSet:
 
     For parts with covariance C, c = C^-1 1 / (1' C^-1 1) minimises
     Var(c' parts) subject to sum(c) = 1 (Lloyd 1952, Biometrika 39). A C
-    that is not positive definite (Cholesky fails) or a weight outside
-    (0, 1) means the moments are inconsistent: `NumericalError`. The weights
-    are solved once per scenario of a moments instance, so a batch over
-    cached moments solves each (scenario, n) once; a refusal is not kept.
+    whose Cholesky factorisation meets a pivot that is not positive (or is
+    NaN), or a weight outside (0, 1), means the moments are inconsistent:
+    `NumericalError`. The weights are solved once per scenario of a moments
+    instance, so a batch over cached moments solves each (scenario, n) once;
+    a refusal is not kept.
     """
     scenario = Scenario.parse(scenario)
     if scenario not in moments._solved:
@@ -143,22 +149,106 @@ def optimal_weights(moments: OrderStatMoments, scenario) -> WeightSet:
 
 def _solve(moments: OrderStatMoments, scenario: Scenario) -> WeightSet:
     cov = _parts_covariance(moments, scenario)
-    try:
-        np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
+    if not _positive_definite(cov):
         raise NumericalError(
             f"covariance of the {scenario.value} summary parts at n={moments.n} "
             "is not positive definite; the input moments are inconsistent"
-        ) from None
-    c = np.linalg.solve(cov, np.ones(len(cov)))
-    c /= c.sum()
-    if not np.all((c > 0.0) & (c < 1.0)):
+        )
+    c = _lu_solve(cov, [1.0] * len(cov))
+    total = reduce(operator.add, c)  # numpy's order here; `sum` compensates from 3.12
+    c = [v / total for v in c]
+    if not all(0.0 < v < 1.0 for v in c):
         raise NumericalError(
-            f"optimal weights {c.tolist()} for {scenario.value} at n={moments.n} "
+            f"optimal weights {c} for {scenario.value} at n={moments.n} "
             "fall outside (0, 1); the input moments are inconsistent"
         )
-    return WeightSet(scenario, moments.n, *(float(v) for v in c[:-1]),
-                     source="exact")
+    return WeightSet(scenario, moments.n, *c[:-1], source="exact")
+
+
+# ---------------------------------------------------------------------------
+# the 2x2 and 3x3 solves in Python floats, in the operation order of the
+# OpenBLAS dpotrf/dgesv kernels that numpy calls at these sizes, so that they
+# give numpy's bits without loading it (`tests/test_exact_solve.py`)
+
+
+def _fma(a: float, b: float, c: float) -> float:
+    """a * b + c with one rounding, as a hardware fma gives it (`math.fma` is
+    new in Python 3.13).
+
+    A zero ``c`` leaves the rounded product. Otherwise the sum is taken from
+    the operands' exact integer ratios, whose integer true division rounds
+    correctly. Zeros carry IEEE's signs: a zero product plus a zero ``c`` is
+    left to float addition, and an exact cancellation is +0.0 as in
+    hardware, so no zero that reaches a weight differs from numpy's. A
+    non-finite operand follows IEEE arithmetic.
+    """
+    if not c:
+        product = a * b
+        return product if a and b else product + c
+    try:
+        (an, ad), (bn, bd), (cn, cd) = (a.as_integer_ratio(), b.as_integer_ratio(),
+                                        c.as_integer_ratio())
+    except (OverflowError, ValueError):  # an infinity or a NaN
+        # the exact product of finite a and b leaves c, even where a * b overflows
+        return c if math.isfinite(a) and math.isfinite(b) else a * b + c
+    numerator = an * bn * cd + cn * ad * bd
+    try:
+        return numerator / (ad * bd * cd)
+    except OverflowError:  # past the float range, so rounded to an infinity
+        return math.inf if numerator > 0 else -math.inf
+
+
+def _dot(xs, ys) -> float:
+    """sum x * y as a chain of `_fma` from +0.0."""
+    total = 0.0
+    for x, y in zip(xs, ys):
+        total = _fma(x, y, total)
+    return total
+
+
+def _positive_definite(a) -> bool:
+    """Whether the lower Cholesky factorisation of the symmetric ``a`` runs:
+    column by column, each pivot a[j][j] less the dot of its factor row with
+    itself must be > 0 (a NaN pivot is refused too), and the column below it
+    is (a[i][j] - dot of factor rows i and j) * (1 / sqrt(pivot))."""
+    low = [[0.0] * len(a) for _ in a]
+    for j, row in enumerate(a):
+        pivot = row[j] - _dot(low[j][:j], low[j][:j])
+        if not pivot > 0.0:
+            return False
+        low[j][j] = math.sqrt(pivot)
+        scale = 1.0 / low[j][j]
+        for i in range(j + 1, len(a)):
+            low[i][j] = (a[i][j] - _dot(low[i][:j], low[j][:j])) * scale
+    return True
+
+
+def _lu_solve(a, b) -> list:
+    """x with a x = b, by LU with partial pivoting as OpenBLAS dgesv runs it.
+
+    Left-looking: column j first takes, for 1 <= i < j, the dot of row i of L
+    with column j of U off a[i][j], then the same for i >= j. Its pivot is
+    the first row of largest |a[i][j]|, swapped whole with its right-hand
+    side, and the multipliers below it are scaled by 1 / pivot. The two
+    triangular solves run column by column, each update one `_fma`.
+    """
+    a, x, size = [list(row) for row in a], list(b), len(a)
+    for j in range(size):
+        for i in range(1, size):
+            a[i][j] -= _dot(a[i][:min(i, j)], [row[j] for row in a[:i]])
+        pivot = max(range(j, size), key=lambda i: abs(a[i][j]))
+        a[j], a[pivot], x[j], x[pivot] = a[pivot], a[j], x[pivot], x[j]
+        scale = 1.0 / a[j][j]
+        for i in range(j + 1, size):
+            a[i][j] *= scale
+    for i in range(size):
+        for k in range(i + 1, size):
+            x[k] = _fma(-x[i], a[k][i], x[k])
+    for i in reversed(range(size)):
+        x[i] /= a[i][i]
+        for k in range(i):
+            x[k] = _fma(-x[i], a[k][i], x[k])
+    return x
 
 
 def optimal_weight_s1(moments: OrderStatMoments) -> WeightSet:
@@ -219,7 +309,7 @@ def weighted_mse(weights: WeightSet, moments: OrderStatMoments) -> float:
             f"weight set is for n={weights.n} but moments are for n={moments.n}"
         )
     w = np.array(weights.part_weights)
-    return float(w @ _parts_covariance(moments, weights.scenario) @ w)
+    return float(w @ np.array(_parts_covariance(moments, weights.scenario)) @ w)
 
 
 # ---------------------------------------------------------------------------

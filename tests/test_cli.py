@@ -1339,6 +1339,19 @@ def _modules_report(commands: dict, cwd) -> dict:
     return json.loads(proc.stdout)
 
 
+# `_MODULES_SCRIPT` watching the modules named by its second argument
+_WATCHED_SCRIPT = _MODULES_SCRIPT.replace(repr(_PER_COMMAND), "json.loads(sys.argv[2])")
+
+
+def _watched_report(commands: dict, watched: list, cwd) -> dict:
+    src = os.path.dirname(os.path.dirname(optmean.__file__))
+    proc = subprocess.run([sys.executable, "-c", _WATCHED_SCRIPT, json.dumps(commands),
+                           json.dumps(watched)], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), cwd=cwd, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
 # Like `_MODULES_SCRIPT`, but notes whether numpy and scipy are loaded, keeps
 # the first line `meta --profile table3` writes, and only then imports both
 # packages for their versions.
@@ -1479,6 +1492,23 @@ class TestStartup:
         assert report["header"].startswith(f"# optmean {optmean.__version__} meta (")
         assert report["header"].endswith(f", numpy {numpy_version}, "
                                          f"scipy {scipy_version})")
+
+    def test_exact_weights_on_the_table_load_neither_numpy_nor_scipy(self, tmp_path):
+        # the exact weights are solved in Python floats, with an integer fma
+        # that needs neither `fractions` nor `decimal`
+        summaries = tmp_path / "summaries.csv"
+        summaries.write_text("scenario,n,min,q1,median,q3,max\n"
+                             "s3,29,1,4.5,6,9,20\ns1,377,1,,6,,20\ns2,101,,4,5,8,\n")
+        commands = {
+            "weights": ["weights", "--scenario", "s3", "--backend", "quad", "--n", "377"],
+            "grid": ["weights", "--scenario", "s2", "--grid", "5:501:4"],
+            "exact": ["estimate", *ONE_S1, "--method", "optimal-exact"],
+            "exact-input": ["estimate", "--method", "optimal-exact", "--input",
+                            str(summaries)],
+        }
+        report = _watched_report(commands, ["numpy", "scipy", "fractions", "decimal"],
+                                 tmp_path)
+        assert report == {"import": [], **{label: [EXIT_OK, []] for label in commands}}
 
     def test_package_version_is_the_imported_version(self):
         # json has no version.py, so its version comes from the imported package
