@@ -14,11 +14,17 @@ cells keeps its floating-point accumulation order under any chunking.
 A window starts in the first 64-bit counter word, and a start past 2**64
 wraps onto replicate 0's window, so a run may span at most `MAX_COUNTERS`
 counters; a longer one is refused before any draw.
+
+`numpy.random` and `hashlib` load with this module: at `moments_mc`'s
+first call or at ``import optmean.simulation``.
 """
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
+from numpy.random import Philox
 
 # Replicates per reduction cell, and per drawing chunk (a whole number of
 # cells; only the run's last chunk and last cell may be short).
@@ -29,21 +35,12 @@ _U64 = np.uint64
 MAX_COUNTERS = 2 ** 63
 
 
-def Philox(*args, **kwargs):
-    """numpy's `Philox` bit generator, imported at the first draw, so a process
-    that draws nothing does not load `numpy.random`."""
-    from numpy.random import Philox as philox
-    return philox(*args, **kwargs)
-
-
 def stream_key(*parts) -> tuple[int, int]:
     """Derive a 128-bit Philox key from arbitrary labels.
 
     Labels are joined into a single string and hashed, so any mix of seed
     integers, distribution names, and sizes yields a well-separated key.
     """
-    import hashlib  # here, so a process that draws nothing does not load it
-
     text = ":".join(str(p) for p in parts)
     digest = hashlib.sha256(text.encode("utf-8")).digest()
     return (

@@ -22,8 +22,9 @@ def read_table(source, what: str, columns: tuple, parse_row) -> list:
     ``source`` (a path or a `packaged` file; a leading byte-order mark is
     ignored), ``None`` dropped. Lines that start with ``#``, as the header
     of every optmean CSV does, are skipped; the column header must start
-    with ``columns``, and a refused row or byte that is not UTF-8 is named
-    by its line in the file."""
+    with ``columns``, a row may hold no value beyond the header's columns,
+    and a refused row or byte that is not UTF-8 is named by its line in the
+    file."""
     opener = open if isinstance(source, (str, os.PathLike)) else type(source).open
     with opener(source, encoding="utf-8-sig", errors="surrogateescape",
                 newline="") as handle:
@@ -40,6 +41,9 @@ def read_table(source, what: str, columns: tuple, parse_row) -> list:
     rows = []
     for record in reader:
         try:
+            if any(map(str.strip, record.get(None, ()))):
+                raise ValueError(f"a value beyond the {len(reader.fieldnames)} "
+                                 "columns of the header")
             row = parse_row(record)
         except (ValueError, ArithmeticError) as exc:
             raise ValueError(f"line {numbered[reader.line_num - 1][0]}: {exc}") from exc

@@ -18,6 +18,7 @@ moment or a draw; see `order_stats`), so the import, ``--help``, a refused
 flag, `estimate` by a closed-form weight or SD rule, `weights` and `estimate
 --method optimal-exact` on the shipped quadrature table, whose exact weights
 are solved in Python floats, and `meta` by its default methods load neither.
+`_moment_source` alone picks the moment backend and checks its domain.
 The header's numpy and scipy versions are read from each package's own
 ``version.py``, the file its ``__init__`` takes ``__version__`` from, without
 importing the package.
@@ -105,7 +106,7 @@ def _method_name(text: str) -> str:
     return text.strip().replace("-", "_")
 
 
-def _parse_grid(text: str) -> tuple[int, ...]:
+def _parse_grid(text: str) -> range:
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError(f"grid must look like start:stop:step, got {text!r}")
@@ -114,7 +115,7 @@ def _parse_grid(text: str) -> tuple[int, ...]:
         raise ValueError(f"bad grid {text!r}")
     if (stop - start) // step >= sys.maxsize:
         raise ValueError(f"grid {text!r} has more than {sys.maxsize} sizes")
-    return tuple(range(start, stop + 1, step))
+    return range(start, stop + 1, step)
 
 
 # what reading or using an --input file may raise on a refused value; a power
@@ -186,7 +187,7 @@ _VALUE_COLUMNS = ("min", "q1", "median", "q3", "max")
 _SUMMARY_COLUMNS = ("scenario", "n", *_VALUE_COLUMNS)
 
 
-def _estimate_row(args, scenario, n, values) -> list:
+def _estimate_row(args, moments, scenario, n, values) -> list:
     """The output row of one summary's estimate; ``values`` by `_VALUE_COLUMNS`."""
     summary = FiveNumberSummary(scenario=scenario, n=n,
                                 **dict(zip(SUMMARY_FIELDS, values)))
@@ -196,8 +197,8 @@ def _estimate_row(args, scenario, n, values) -> list:
         estimate = mean_weighted(summary, WeightSet(
             summary.scenario, summary.n, args.weight, args.w2, source="custom"))
     else:
-        moments = _moments(args, summary.n) if args.method == "optimal-exact" else None
-        estimate = estimate_mean(summary, _method_name(args.method), moments)
+        estimate = estimate_mean(summary, _method_name(args.method),
+                                 None if moments is None else moments(summary.n))
     ws = estimate.weight_set
     return [summary.scenario.value, summary.n, *summary.values(), estimate.method,
             estimate.value,
@@ -208,9 +209,8 @@ def _cmd_estimate(args):
     out_fields = list(_SUMMARY_COLUMNS) + [
         "method", "value", "w1", "w2", "median_weight", "weight_source"]
     # every flag is checked before an --input row is read
-    if args.method == "optimal-exact":
-        check_moment_domain((), args.reps)
-    else:
+    moments = _moment_source(args) if args.method == "optimal-exact" else None
+    if moments is None:
         _refuse_unread("by --method optimal-exact",
                        {"--backend mc": args.backend == "mc"})
     if args.method == "weighted":
@@ -228,13 +228,14 @@ def _cmd_estimate(args):
         # a row's values are read before its n, so a bad value is named first
         with _reading():
             rows = read_table(args.input, "summary", _SUMMARY_COLUMNS, lambda record: (
-                _estimate_row(args, values=[cell_float(record[k]) for k in _VALUE_COLUMNS],
+                _estimate_row(args, moments,
+                              values=[cell_float(record[k]) for k in _VALUE_COLUMNS],
                               scenario=record["scenario"], n=int(record["n"]))))
         _emit(args, out_fields, rows)
         return
     if args.scenario is None or args.n is None:
         raise ValueError("--scenario and --n are required without --input")
-    row = _estimate_row(args, args.scenario, args.n,
+    row = _estimate_row(args, moments, args.scenario, args.n,
                         [getattr(args, column) for column in _VALUE_COLUMNS])
     _emit(args, out_fields, [row], {"result": dict(zip(out_fields, row))})
 
@@ -242,13 +243,16 @@ def _cmd_estimate(args):
 # ---------------------------------------------------------------------------
 # weights
 
-def _moments(args, n: int):
+def _moment_source(args, sizes=()):
+    """The function from n to moments of --backend, once ``sizes`` and --reps
+    (default `DEFAULT_WEIGHT_REPS`) are checked against its domain. Under mc it
+    draws each n once: one invocation has one --reps and one --seed."""
     if args.backend != "mc":
-        return moments_quadrature(n)
-    # one main() call has one --reps and one --seed, so a batch draws each n once
-    if n not in args.mc_moments:
-        args.mc_moments[n] = moments_mc(n, args.reps, args.seed)
-    return args.mc_moments[n]
+        check_moment_domain(sizes)  # lazily, so a long grid stops at n > 501
+        return moments_quadrature
+    args.reps = DEFAULT_WEIGHT_REPS if args.reps is None else args.reps
+    reps = check_moment_domain(tuple(sizes), args.reps)
+    return functools.cache(lambda n: moments_mc(n, reps, args.seed))
 
 
 _WEIGHT_FIELDS = ("n", "scenario", "exact_w1", "exact_w2", "approx_w1",
@@ -260,10 +264,10 @@ def _cmd_weights(args):
     if (args.n is None) == (args.grid is None):
         raise ValueError("give exactly one of --n or --grid")
     grid = (args.n,) if args.n is not None else _parse_grid(args.grid)
-    check_moment_domain(grid, args.reps)
+    source = _moment_source(args, grid)
     rows = []
     for n in grid:
-        moments = _moments(args, n)
+        moments = source(n)
         exact, approx = optimal_weights(moments, scenario), approx_weight(scenario, n)
         rows.append([n, scenario.value, exact.w1, exact.w2,
                      approx.w1, approx.w2, args.backend, moments.std_error])
@@ -299,8 +303,8 @@ def _cmd_fit(args):
     else:
         args.grid = args.grid or DEFAULT_FIT_GRID
         grid_ns = _parse_grid(args.grid)
-        check_moment_domain(grid_ns, args.reps)
-        grid = [(n, *optimal_weights(_moments(args, n), scenario).part_weights[:-1])
+        moments = _moment_source(args, grid_ns)
+        grid = [(n, *optimal_weights(moments(n), scenario).part_weights[:-1])
                 for n in grid_ns]
         coeff = fit_power_law(grid, scenario)
     result = {**vars(coeff), "scenario": scenario.value, "n_points": len(grid)}
@@ -319,7 +323,7 @@ def _cmd_simulate(args):
                     if m.strip())
     config = SimulationConfig(
         distribution=spec, scenario=scenario, methods=methods,
-        n_grid=_parse_grid(args.grid), replicates=args.reps, seed=args.seed)
+        n_grid=tuple(_parse_grid(args.grid)), replicates=args.reps, seed=args.seed)
     args.methods = ",".join(config.methods)
     report = run_rmse(config)
     _emit(args, [field.name for field in dataclasses.fields(RmseRow)],
@@ -439,7 +443,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    args.mc_moments = {}
     try:
         if abs(args.seed) > sys.float_info.max:  # every header prints it, as a number
             raise ValueError(f"--seed must be finite as a float, got {args.seed}")
@@ -448,9 +451,7 @@ def main(argv=None) -> int:
             if text.splitlines() not in ([], [text]):
                 raise ValueError(f"--{key.replace('_', '-')} must hold no line break, "
                                  f"got {text!r}")
-        if getattr(args, "backend", None) == "mc":  # the moment flags' --reps
-            args.reps = DEFAULT_WEIGHT_REPS if args.reps is None else args.reps
-        elif hasattr(args, "backend"):
+        if getattr(args, "backend", "mc") != "mc":  # the moment flags' --reps
             _refuse_unread("by --backend mc", {"--reps": args.reps is not None})
         args.func(args)
         return EXIT_OK
@@ -468,8 +469,10 @@ def main(argv=None) -> int:
         print(f"optmean {args.command}: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except MemoryError as exc:
-        # e.g. a sample size whose draws cannot be allocated
-        print(f"optmean {args.command}: out of memory: {exc}", file=sys.stderr)
+        # e.g. a sample size whose draws, or a grid whose sizes, cannot be
+        # allocated; the latter's MemoryError has no text
+        reason = str(exc) or "an allocation failed"
+        print(f"optmean {args.command}: out of memory: {reason}", file=sys.stderr)
         return EXIT_NUMERICAL
 
 

@@ -28,10 +28,10 @@ the SD rules is a pure-Python port of it that returns the same bits.
 numpy and scipy load when a computation first needs them, not at import:
 ``np`` and ``special`` here are `_OnFirstUse` handles, which import
 ``numpy`` and ``scipy.special`` at their first attribute read, and `_rng` is
-imported at the first draw. numpy thus first loads with a fit, a Monte Carlo
-draw or the array `OrderStatMoments.summary_covariance`; a table row, the
-covariance of its summary parts as Python floats and the exact weights solved
-from it need none. ``scipy.special`` first loads with a Monte Carlo moment or
+imported at `moments_mc`'s first call. numpy thus first loads with a fit, a
+Monte Carlo draw or the array `OrderStatMoments.summary_covariance`; a table
+row, the covariance of its summary parts as Python floats and the exact
+weights solved from it need none. ``scipy.special`` first loads with a Monte Carlo moment or
 an integrated quadrature (it costs 0.25-0.45 s, more than the rest of the
 CLI's start-up). The scalar paths (closed-form weights, the SD rules,
 pooling) load neither.

@@ -941,6 +941,40 @@ class TestMomentDomainFailFast:
         assert captured.err.splitlines()[-1].endswith("n <= 501, got 505")
 
 
+class TestOversizedGrid:
+    """A grid of 2.5e18 sizes: quadrature refuses its first size past 501
+    (exit 2) without building it, and where it is built (`simulate`,
+    --backend mc) it is out of memory (exit 4) with a stated reason. Its
+    tuple's size overflows at once, so nothing is allocated."""
+
+    GRID = "5:10000000000000000001:4"
+
+    @pytest.mark.parametrize("command", ["weights", "fit"])
+    def test_quadrature_refuses_its_first_size_past_501(self, command, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--scenario", "s1", "--grid", self.GRID])
+        assert excinfo.value.code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == (
+            f"optmean {command}: error: quadrature supports n <= 501, got 505")
+
+    @pytest.mark.parametrize("argv", [
+        ["weights", "--scenario", "s1", "--grid", GRID, "--backend", "mc"],
+        ["fit", "--scenario", "s1", "--grid", GRID, "--backend", "mc"],
+        ["simulate", "--distribution", "normal", "--scenario", "s1", "--grid", GRID],
+    ], ids=["weights-mc", "fit-mc", "simulate"])
+    def test_built_grid_is_out_of_memory_with_a_reason(self, argv, capsys,
+                                                       monkeypatch):
+        monkeypatch.setattr(_rng, "Philox", _no_draws)
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (EXIT_NUMERICAL, "")
+        prefix = f"optmean {argv[0]}: out of memory: "
+        assert err.startswith(prefix)
+        assert err[len(prefix):].strip()
+        assert len(err.splitlines()) == 1
+
+
 # an accepted run of each command, with the one JSON key that holds its body
 OUTPUT_SHAPES = [
     (["estimate", "--scenario", "s1", "--n", "9", "--min", "1", "--median", "2",
@@ -1055,6 +1089,33 @@ class TestTableFormat:
             assert (code, out) == (EXIT_DATA, "")
             assert err == (f"optmean {argv[0]}: input error: {src} line {line}: "
                            f"byte {byte} is not UTF-8\n")
+
+    @_EACH_TABLE_READER
+    def test_value_beyond_the_header_is_refused_by_its_line(self, argv, plain,
+                                                            tmp_path, capsys):
+        # for estimate, "s1,25,1,,2,,3,99": its max is 3, and the 99 is not read
+        text = plain(capsys).rstrip("\n")
+        header = next(line for line in text.splitlines() if not line.startswith("#"))
+        columns, last = len(next(csv.reader([header]))), text.count("\n") + 1
+        src = tmp_path / "table.csv"
+        src.write_text(text + ",99\n")
+        code, out, err = run_cli(argv + ["--input", str(src)], capsys)
+        assert (code, out) == (EXIT_DATA, "")
+        assert err == (f"optmean {argv[0]}: input error: line {last}: "
+                       f"a value beyond the {columns} columns of the header\n")
+
+    @_EACH_TABLE_READER
+    def test_empty_cells_beyond_the_header_are_read(self, argv, plain, tmp_path,
+                                                    capsys):
+        text, outputs = plain(capsys).rstrip("\n"), []
+        for name, ending in (("plain.csv", ""), ("trailing.csv", ", ,")):
+            src = tmp_path / name
+            src.write_text(text + ending + "\n")
+            code, out, err = run_cli(argv + ["--input", str(src)], capsys)
+            assert (code, err) == (EXIT_OK, "")
+            outputs.append([line for line in out.splitlines()
+                            if not line.startswith("# input=")])
+        assert outputs[0] == outputs[1]
 
 
 class TestReproducibility:
