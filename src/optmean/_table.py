@@ -22,9 +22,9 @@ def read_table(source, what: str, columns: tuple, parse_row) -> list:
     ``source`` (a path or a `packaged` file; a leading byte-order mark is
     ignored), ``None`` dropped. Lines that start with ``#``, as the header
     of every optmean CSV does, are skipped; the column header must start
-    with ``columns``, a row may hold no value beyond the header's columns,
-    and a refused row or byte that is not UTF-8 is named by its line in the
-    file."""
+    with ``columns`` and name no column twice (empty names may repeat), a
+    row may hold no value beyond the header's columns, and a refused row or
+    byte that is not UTF-8 is named by its line in the file."""
     opener = open if isinstance(source, (str, os.PathLike)) else type(source).open
     with opener(source, encoding="utf-8-sig", errors="surrogateescape",
                 newline="") as handle:
@@ -38,6 +38,10 @@ def read_table(source, what: str, columns: tuple, parse_row) -> list:
     if (reader.fieldnames or [])[:len(columns)] != list(columns):
         raise ValueError(f"{handle.name} is not a {what} CSV: its columns must "
                          f"start with {','.join(columns)}")
+    named = [name for name in reader.fieldnames if name.strip()]
+    for k, name in enumerate(named):
+        if name in named[:k]:
+            raise ValueError(f"{handle.name}: column {name!r} appears twice in the header")
     rows = []
     for record in reader:
         try:

@@ -278,14 +278,15 @@ def _cmd_weights(args):
 # fit
 
 def _read_weight_table(path, scenario: Scenario):
-    # one weight per reported part but the median
-    weights = tuple(f"exact_w{k}" for k in range(1, len(scenario.parts)))
+    # n, scenario, then one exact weight per reported part but the median
+    columns = _WEIGHT_FIELDS[:len(scenario.parts) + 1]
 
     def parse_row(record):
         if Scenario.parse(record["scenario"]) is not scenario:
             return None
-        return (float(int(record["n"])), *(float(record[key]) for key in weights))
-    grid = read_table(path, "weight-table", ("n", "scenario", *weights), parse_row)
+        return (float(int(record["n"])), *(cell_float(record[key], key)
+                                           for key in columns[2:]))
+    grid = read_table(path, "weight-table", columns, parse_row)
     if not grid:
         raise ValueError(f"no rows for scenario {scenario.value} in {path}")
     return grid

@@ -73,19 +73,13 @@ class FiveNumberSummary:
     def __post_init__(self):
         object.__setattr__(self, "scenario", Scenario.parse(self.scenario))
         object.__setattr__(self, "n", check_sample_size(self.n))
-        values = self.values()
-        if tuple(v is not None for v in values) != _PRESENT[self.scenario]:
-            for name, value, wanted in zip(SUMMARY_FIELDS, values,
-                                           _PRESENT[self.scenario]):
-                if wanted and value is None:
-                    raise ScenarioError(
-                        f"scenario {self.scenario.value} requires field {name!r}"
-                    )
-                if not wanted and value is not None:
-                    raise ScenarioError(
-                        f"scenario {self.scenario.value} does not take field {name!r}"
-                    )
-        values = tuple(v for v in values if v is not None)
+        for name, value, wanted in zip(SUMMARY_FIELDS, self.values(),
+                                       _PRESENT[self.scenario]):
+            if wanted == (value is None):
+                raise ScenarioError(f"scenario {self.scenario.value} "
+                                    f"{'requires' if wanted else 'does not take'} "
+                                    f"field {name!r}")
+        values = self.present_values()
         if not all(map(math.isfinite, values)):
             raise ValueError(f"summary values must be finite, got {values}")
         if values != tuple(sorted(values)):

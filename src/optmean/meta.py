@@ -387,7 +387,12 @@ def _parse_payload(row: dict, n_cases: int, n_controls: int) -> Payload:
     cls = _PAYLOADS[kind][0]
     f = [row.get(f"f{k:02d}", "") for k in range(1, 12)]
     if cls is not FiveNumberPayload:
-        # all fields required, in field order from f01
+        # all fields required, in field order from f01, and no value after them
+        size = len(fields(cls))
+        for k, raw in enumerate(f[size:], start=size + 1):
+            if raw.strip():
+                raise ValueError(f"{kind} takes f01..f{size:02d}, but f{k:02d} "
+                                 f"holds {raw.strip()!r}")
         return cls(*(cell_float(raw, f"{field.name} (f{k:02d})")
                      for k, (field, raw) in enumerate(zip(fields(cls), f), start=1)))
     scenario = f[0].strip().lower()
@@ -416,8 +421,9 @@ def read_study_csv(source) -> list[StudyRecord]:
     Rows are ``index,label,n_cases,n_controls,payload_type,f01..f11,note``
     with payload_type one of fivenum, meansd, or, meanrange; the f-columns
     are positional per payload type (see the bundled table1.csv and the
-    README for the layout). It is read by `read_table`: ``#`` lines are
-    skipped and a refused row is named by its line in the file.
+    README for the layout), and a value past a payload's fields is refused.
+    It is read by `read_table`: ``#`` lines are skipped and a refused row is
+    named by its line in the file.
     """
     records = read_table(source, "study", _CSV_COLUMNS, _study_record)
     if not records:

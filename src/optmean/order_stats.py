@@ -9,7 +9,7 @@ Two backends are provided. ``moments_quadrature`` is the deterministic
 reference. Its whole domain, n = 5..501 step 4, is integrated once and shipped
 as the table ``data/quad_moments.csv`` (written by
 ``tests/make_quad_table.py``), and a call serves the table's row, read at the
-first call. ``moments_quadrature.__wrapped__`` is the integrating kernel. It
+first call. ``_integrated_moments`` (its ``__wrapped__``) is the kernel. It
 integrates one density with adaptive Gauss-Legendre panels: the joint density
 of ranks r_1 < ... < r_k of n (k = 1 or 2) is n! / prod Gamma(g) * prod
 phi(x) * prod mass^(g - 1), with gaps g the differences of (0, r_1, ...,
@@ -44,7 +44,7 @@ import math
 import operator
 import sys
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial, reduce, update_wrapper
+from functools import cached_property, lru_cache, partial, reduce
 from typing import Mapping
 
 from ._table import cell_float, packaged, read_table
@@ -316,9 +316,8 @@ class OrderStatMoments:
         L holds only 0, 1/2 and 1, so every product is exact, and each entry
         adds its five in rank order.
         """
-        ranks, means, second = self.index_set.indices, self.means, self.second_moments
-        sigma = [[second[(i, j) if i <= j else (j, i)] - means[i] * means[j]
-                  for j in ranks] for i in ranks]
+        ranks = self.index_set.indices
+        sigma = [[self.cov(i, j) for j in ranks] for i in ranks]
         return tuple(map(tuple, _times_parts(zip(*_times_parts(sigma)))))
 
     @cached_property
@@ -529,29 +528,24 @@ def _quad_table() -> dict:
     return _read_quad_table(_quad_table_file())
 
 
-def _served_from_table(kernel):
-    """``kernel`` with the shipped table as its cache: a call refuses what the
-    kernel refuses, then builds the moments from the size's table row, once
-    per size. ``cache_info``/``cache_clear`` count and drop the built moments
-    (the table, read at the first call, stays); ``__wrapped__`` is ``kernel``."""
-    @lru_cache(maxsize=None)
-    def served(n):
-        check_moment_domain((n,))
-        n = OrderIndexSet.from_size(n).n
-        return _moments_from_row(n, _quad_table()[n], "quadrature", _PANEL_TOL)
-    return update_wrapper(served, kernel)
-
-
-@_served_from_table
+@lru_cache(maxsize=None)
 def moments_quadrature(n: int) -> OrderStatMoments:
     """Deterministic moments of the five summary order statistics.
 
-    Supports 5 <= n <= 501 with n = 4Q + 1. A call reads them from the shipped
-    table; ``moments_quadrature.__wrapped__(n)`` integrates them. Every mean
-    and second moment is integrated independently (no symmetry shortcuts), so
-    the mirror-symmetry identities of normal order statistics remain genuine
-    checks on the output.
+    Supports 5 <= n <= 501 with n = 4Q + 1: built from the size's row of the
+    shipped table once per size (``cache_clear`` drops them; the table, read
+    at the first call, stays).
     """
+    check_moment_domain((n,))
+    n = OrderIndexSet.from_size(n).n
+    return _moments_from_row(n, _quad_table()[n], "quadrature", _PANEL_TOL)
+
+
+def _integrated_moments(n: int) -> OrderStatMoments:
+    """`moments_quadrature` integrated, as the shipped table was written. Every
+    mean and second moment is integrated independently (no symmetry
+    shortcuts), so the mirror-symmetry identities of normal order statistics
+    remain genuine checks on the output."""
     check_moment_domain((n,))
     idx = OrderIndexSet.from_size(n)
     ranks = idx.indices
@@ -560,6 +554,9 @@ def moments_quadrature(n: int) -> OrderStatMoments:
         ((i,), 2) if i == j else ((i, j), 1) for i, j in _rank_pairs(ranks)]
     return _moments_from_row(idx.n, [_adaptive(partial(_moment_once, idx.n, *args))[0]
                                      for args in integrals], "quadrature", _PANEL_TOL)
+
+
+moments_quadrature.__wrapped__ = _integrated_moments
 
 
 # ---------------------------------------------------------------------------

@@ -124,12 +124,6 @@ class WeightSet:
         return (*(w for w in (self.w1, self.w2) if w is not None), self.median_weight)
 
 
-def _parts_covariance(moments: OrderStatMoments, scenario: Scenario) -> list:
-    """The rows of `OrderStatMoments.parts_covariance` on ``scenario.parts``."""
-    cov = moments.parts_covariance
-    return [[cov[i][j] for j in scenario.parts] for i in scenario.parts]
-
-
 def optimal_weights(moments: OrderStatMoments, scenario) -> WeightSet:
     """MSE-minimising weights on the parts a scenario reports.
 
@@ -148,7 +142,8 @@ def optimal_weights(moments: OrderStatMoments, scenario) -> WeightSet:
 
 
 def _solve(moments: OrderStatMoments, scenario: Scenario) -> WeightSet:
-    cov = _parts_covariance(moments, scenario)
+    parts, cov = scenario.parts, moments.parts_covariance
+    cov = [[cov[i][j] for j in parts] for i in parts]
     if not _positive_definite(cov):
         raise NumericalError(
             f"covariance of the {scenario.value} summary parts at n={moments.n} "
@@ -308,8 +303,8 @@ def weighted_mse(weights: WeightSet, moments: OrderStatMoments) -> float:
         raise ValueError(
             f"weight set is for n={weights.n} but moments are for n={moments.n}"
         )
-    w = np.array(weights.part_weights)
-    return float(w @ np.array(_parts_covariance(moments, weights.scenario)) @ w)
+    parts, w = weights.scenario.parts, np.array(weights.part_weights)
+    return float(w @ moments.summary_covariance()[np.ix_(parts, parts)] @ w)
 
 
 # ---------------------------------------------------------------------------

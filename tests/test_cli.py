@@ -519,6 +519,24 @@ class TestFit:
         assert code == EXIT_DATA
         assert "finite" in err
 
+    @pytest.mark.parametrize("column,cell,message", [
+        (2, "nan", "non-finite value 'nan'"),
+        (3, "", "missing required field exact_w2")], ids=["nan", "empty"])
+    def test_bad_weight_is_refused_by_its_line(self, column, cell, message, tmp_path,
+                                               capsys):
+        # five '#' lines and the column header, so n = 13 is on line 9
+        lines = run_cli(["weights", "--scenario", "s3", "--grid", "5:41:4"],
+                        capsys)[1].splitlines()
+        row = lines[8].split(",")
+        assert row[0] == "13"
+        row[column] = cell
+        table = tmp_path / "weights.csv"
+        table.write_text("\n".join(lines[:8] + [",".join(row)] + lines[9:]) + "\n")
+        code, out, err = run_cli(["fit", "--scenario", "s3", "--input", str(table)],
+                                 capsys)
+        assert (code, out) == (EXIT_DATA, "")
+        assert err == f"optmean fit: input error: line 9: {message}\n"
+
     def test_short_regenerated_grid_is_usage_error(self, capsys):
         # the two sizes come from --grid, a flag
         with pytest.raises(SystemExit) as excinfo:
@@ -845,6 +863,35 @@ class TestMeta:
         assert footer_stats(out)["pooled_d"] == format(want.pooled_d, ".10g")
 
 
+    @pytest.mark.parametrize("kind,values", [
+        ("meansd", ["69.5", "24.5", "95.5", "29.25"]),
+        ("or", ["3.1", "1.3", "6.5"]),
+        ("meanrange", ["26.75", "2.5", "80", "48.5", "22.5", "145"])])
+    def test_value_past_payload_fields_is_data_error(self, kind, values, tmp_path,
+                                                     capsys):
+        size, src = len(values), tmp_path / "studies.csv"
+        for k in range(size + 1, 12):
+            cells = values + [""] * (11 - size)
+            cells[k - 1] = " 7 "
+            src.write_text("index,label,n_cases,n_controls,payload_type,"
+                           "f01,f02,f03,f04,f05,f06,f07,f08,f09,f10,f11,note\n"
+                           f"1,x,30,30,{kind},{','.join(cells)},\n")
+            code, out, err = run_cli(["meta", "--input", str(src)], capsys)
+            assert (code, out) == (EXIT_DATA, "")
+            assert err == (f"optmean meta: input error: line 2: {kind} takes "
+                           f"f01..f{size:02d}, but f{k:02d} holds '7'\n")
+
+    def test_bundled_study_relabelled_is_refused(self, tmp_path, capsys):
+        # study 7 (meanrange, line 8) read as meansd would take its 2.5 as an SD
+        text = bundled_table1().read_text(encoding="utf-8")
+        src = tmp_path / "studies.csv"
+        src.write_text(text.replace(",meanrange,", ",meansd,"))
+        code, out, err = run_cli(["meta", "--input", str(src)], capsys)
+        assert (code, out) == (EXIT_DATA, "")
+        assert err == ("optmean meta: input error: line 8: meansd takes f01..f04, "
+                       "but f05 holds '22.5'\n")
+
+
 class TestUnallocatableSize:
     """A sample size whose draws cannot be allocated is a numerical failure
     (exit 4), reported in one stderr line. 4,000,000,000,001 values per
@@ -1111,6 +1158,50 @@ class TestTableFormat:
         for name, ending in (("plain.csv", ""), ("trailing.csv", ", ,")):
             src = tmp_path / name
             src.write_text(text + ending + "\n")
+            code, out, err = run_cli(argv + ["--input", str(src)], capsys)
+            assert (code, err) == (EXIT_OK, "")
+            outputs.append([line for line in out.splitlines()
+                            if not line.startswith("# input=")])
+        assert outputs[0] == outputs[1]
+
+
+    @_EACH_TABLE_READER
+    def test_repeated_column_is_refused(self, argv, plain, tmp_path, capsys):
+        lines = plain(capsys).splitlines()
+        k = next(k for k, line in enumerate(lines) if not line.startswith("#"))
+        name = lines[k].split(",")[1]
+        lines[k] += f",{name}"
+        src = tmp_path / "table.csv"
+        src.write_text("\n".join(lines) + "\n")
+        code, out, err = run_cli(argv + ["--input", str(src)], capsys)
+        assert (code, out) == (EXIT_DATA, "")
+        assert err == (f"optmean {argv[0]}: input error: {src}: column {name!r} "
+                       "appears twice in the header\n")
+
+    @pytest.mark.parametrize("header,row,name", [
+        ("scenario,n,min,q1,median,q3,max,max", "s1,25,1,,5,,12,999", "max"),
+        ("scenario,n,min,q1,median,q3,max,n", "s1,25,1,,5,,12,9", "n")],
+        ids=["max", "n"])
+    def test_repeated_summary_column_is_not_read(self, header, row, name, tmp_path,
+                                                 capsys):
+        # csv.DictReader alone would keep the last copy: max 999, or n = 9
+        src = tmp_path / "summaries.csv"
+        src.write_text(f"{header}\n{row}\n")
+        code, out, err = run_cli(["estimate", "--input", str(src)], capsys)
+        assert (code, out) == (EXIT_DATA, "")
+        assert err == (f"optmean estimate: input error: {src}: column {name!r} "
+                       "appears twice in the header\n")
+
+    @_EACH_TABLE_READER
+    def test_repeated_empty_column_names_are_read(self, argv, plain, tmp_path,
+                                                  capsys):
+        # as a spreadsheet's extra trailing commas give them, header line included
+        text, outputs = plain(capsys), []
+        for name, ending in (("plain.csv", ""), ("trailing.csv", ",,")):
+            src = tmp_path / name
+            src.write_text("".join(line if line.startswith("#") else
+                                   line.replace("\n", ending + "\n")
+                                   for line in text.splitlines(keepends=True)))
             code, out, err = run_cli(argv + ["--input", str(src)], capsys)
             assert (code, err) == (EXIT_OK, "")
             outputs.append([line for line in out.splitlines()
