@@ -10,4 +10,4 @@ Names are imported from the submodules, and each submodule's ``__all__``
 lists them.
 """
 
-__version__ = "0.2.1"
+__version__ = "0.2.2"

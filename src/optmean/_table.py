@@ -67,3 +67,10 @@ def cell_float(text: str, name: Optional[str] = None) -> Optional[float]:
     if not math.isfinite(value):
         raise ValueError(f"non-finite value {text.strip()!r}")
     return value
+
+
+def cell_int(text: str, name: str) -> int:
+    """The integer in a table cell, which the required field ``name`` holds."""
+    if not text.strip():
+        raise ValueError(f"missing required field {name}")
+    return int(text)

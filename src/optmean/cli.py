@@ -13,11 +13,12 @@ or an unallocatable draw. `main` alone maps an exception to its code.
 
 A command loads only the modules it runs: `simulate` and `meta` import theirs
 when called, so a process that runs neither does not pay for them. numpy and
-scipy load at a command's first computation with them (a fit, a Monte Carlo
-moment or a draw; see `order_stats`), so the import, ``--help``, a refused
-flag, `estimate` by a closed-form weight or SD rule, `weights` and `estimate
+scipy load at a command's first computation with them (a Monte Carlo moment
+or a draw; see `order_stats`), so the import, ``--help``, a refused flag,
+`estimate` by a closed-form weight or SD rule, `weights`, `fit` and `estimate
 --method optimal-exact` on the shipped quadrature table, whose exact weights
-are solved in Python floats, and `meta` by its default methods load neither.
+and power-law fit are solved in Python floats, `fit --input`, and `meta` by
+its default methods load neither.
 `_moment_source` alone picks the moment backend and checks its domain.
 The header's numpy and scipy versions are read from each package's own
 ``version.py``, the file its ``__init__`` takes ``__version__`` from, without
@@ -40,7 +41,7 @@ import re
 import sys
 
 from . import __version__
-from ._table import cell_float, read_table
+from ._table import cell_float, cell_int, read_table
 from .errors import FitConvergenceError, NumericalError
 from .estimators import DISTRIBUTION_KINDS, METHODS, PROFILES, SD_METHODS, \
     SUMMARY_METHODS, FiveNumberSummary, estimate_mean, mean_weighted, sd_estimate
@@ -230,7 +231,7 @@ def _cmd_estimate(args):
             rows = read_table(args.input, "summary", _SUMMARY_COLUMNS, lambda record: (
                 _estimate_row(args, moments,
                               values=[cell_float(record[k]) for k in _VALUE_COLUMNS],
-                              scenario=record["scenario"], n=int(record["n"]))))
+                              scenario=record["scenario"], n=cell_int(record["n"], "n"))))
         _emit(args, out_fields, rows)
         return
     if args.scenario is None or args.n is None:
@@ -284,8 +285,8 @@ def _read_weight_table(path, scenario: Scenario):
     def parse_row(record):
         if Scenario.parse(record["scenario"]) is not scenario:
             return None
-        return (float(int(record["n"])), *(cell_float(record[key], key)
-                                           for key in columns[2:]))
+        return (float(cell_int(record["n"], "n")), *(cell_float(record[key], key)
+                                                     for key in columns[2:]))
     grid = read_table(path, "weight-table", columns, parse_row)
     if not grid:
         raise ValueError(f"no rows for scenario {scenario.value} in {path}")

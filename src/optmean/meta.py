@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 from typing import Sequence, Union
 
-from ._table import cell_float, packaged, read_table
+from ._table import cell_float, cell_int, packaged, read_table
 from .estimators import (
     PROFILES,
     SD_METHODS,
@@ -408,8 +408,8 @@ def _parse_payload(row: dict, n_cases: int, n_controls: int) -> Payload:
 
 
 def _study_record(row: dict) -> StudyRecord:
-    index = int(row["index"])
-    n_cases, n_controls = int(row["n_cases"]), int(row["n_controls"])
+    index, n_cases, n_controls = (cell_int(row[name], name)
+                                  for name in ("index", "n_cases", "n_controls"))
     return StudyRecord(index=index, label=row["label"].strip(), n_cases=n_cases,
                        n_controls=n_controls, note=row.get("note", "").strip(),
                        payload=_parse_payload(row, n_cases, n_controls))

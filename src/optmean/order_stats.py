@@ -28,10 +28,11 @@ the SD rules is a pure-Python port of it that returns the same bits.
 numpy and scipy load when a computation first needs them, not at import:
 ``np`` and ``special`` here are `_OnFirstUse` handles, which import
 ``numpy`` and ``scipy.special`` at their first attribute read, and `_rng` is
-imported at `moments_mc`'s first call. numpy thus first loads with a fit, a
-Monte Carlo draw or the array `OrderStatMoments.summary_covariance`; a table
-row, the covariance of its summary parts as Python floats and the exact
-weights solved from it need none. ``scipy.special`` first loads with a Monte Carlo moment or
+imported at `moments_mc`'s first call. numpy thus first loads with a Monte
+Carlo draw, an integrated quadrature or the array
+`OrderStatMoments.summary_covariance`; a table row, the covariance of its
+summary parts as Python floats, the exact weights solved from it and the
+power-law fit need none. ``scipy.special`` first loads with a Monte Carlo moment or
 an integrated quadrature (it costs 0.25-0.45 s, more than the rest of the
 CLI's start-up). The scalar paths (closed-form weights, the SD rules,
 pooling) load neither.
@@ -47,7 +48,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial, reduce
 from typing import Mapping
 
-from ._table import cell_float, packaged, read_table
+from ._table import cell_float, cell_int, packaged, read_table
 from .errors import NumericalError, ScenarioError
 
 __all__ = [
@@ -519,7 +520,8 @@ def _quad_table_file():
 def _read_quad_table(source) -> dict:
     """The 20 moments of each size, by n, of the quadrature table at ``source``."""
     return dict(read_table(source, "quadrature moment", _QUAD_COLUMNS, lambda record: (
-        int(record["n"]), [cell_float(record[name], name) for name in _QUAD_COLUMNS[1:]])))
+        cell_int(record["n"], "n"), [cell_float(record[name], name)
+                                     for name in _QUAD_COLUMNS[1:]])))
 
 
 @lru_cache(maxsize=None)

@@ -25,9 +25,7 @@ from functools import reduce
 from typing import Optional, Sequence
 
 from .errors import FitConvergenceError, NumericalError, ScenarioError
-# numpy loads at the first fit or `weighted_mse`: the weights, exact and
-# approximate, are solved in Python floats
-from .order_stats import OrderStatMoments, check_sample_size, np
+from .order_stats import OrderStatMoments, check_sample_size
 
 __all__ = [
     "Scenario",
@@ -297,18 +295,18 @@ def weighted_mse(weights: WeightSet, moments: OrderStatMoments) -> float:
     """MSE of the weighted estimator, in units of sigma^2: w' C w.
 
     w holds the weights on the scenario's parts, median last, and C is
-    their covariance.
+    their covariance; (w'C) w is summed left to right.
     """
     if weights.n != moments.n:
-        raise ValueError(
-            f"weight set is for n={weights.n} but moments are for n={moments.n}"
-        )
-    parts, w = weights.scenario.parts, np.array(weights.part_weights)
-    return float(w @ moments.summary_covariance()[np.ix_(parts, parts)] @ w)
+        raise ValueError(f"weight set is for n={weights.n} but moments are for "
+                         f"n={moments.n}")
+    parts, w, cov = weights.scenario.parts, weights.part_weights, moments.parts_covariance
+    return _dot_plain([_dot_plain(w, [cov[i][j] for i in parts]) for j in parts], w)
 
 
 # ---------------------------------------------------------------------------
-# power-law fitting
+# power-law fitting in Python floats, as the solves above, so that the fit's
+# bits follow no host's SIMD or BLAS kernels (`tests/test_corpus.py`)
 
 _GN_MAX_ITER, _GN_STEP_TOL = 200, 1e-12
 
@@ -331,40 +329,49 @@ class FitCoefficients:
     residual: float = 0.0
 
 
+def _dot_plain(xs, ys) -> float:
+    """sum x * y from 0.0, added left to right (`sum` compensates from 3.12)."""
+    return reduce(operator.add, map(operator.mul, xs, ys), 0.0)
+
+
 def _gauss_newton(model, n, y, theta0):
     """Damped Gauss-Newton on weight residuals; returns (theta, sse, converged).
 
-    Central-difference Jacobian, step 1e-6 * max(1, |theta_k|); a candidate
-    that overflows has a non-finite SSE and is rejected like a worse one.
+    The Jacobian is central differences, step 1e-6 * max(1, |theta_k|), and
+    J'J step = J'r is solved by `_lu_solve`; the SSE, J'r and J'J are each
+    summed left to right by `_dot_plain`. A candidate whose model overflows
+    or divides by zero has SSE inf and is rejected like a worse one. A
+    singular J'J (a zero pivot), or an overflow at the start or in the
+    Jacobian, stops the fit unconverged at the best theta so far.
     """
-    theta = np.asarray(theta0, dtype=float)
-    resid = model(n, *theta) - y
-    sse = float(resid @ resid)
-    for _ in range(_GN_MAX_ITER):
-        dt = 1e-6 * np.maximum(1.0, np.abs(theta))
-        j = np.column_stack([(model(n, *(theta + dk * e)) - model(n, *(theta - dk * e)))
-                             / (2.0 * dk) for dk, e in zip(dt, np.eye(len(theta)))])
-        g = j.T @ resid
-        h = j.T @ j
-        try:
-            step = np.linalg.solve(h, g)
-        except np.linalg.LinAlgError:
-            step = np.linalg.lstsq(h, g, rcond=None)[0]
-        scale = 1.0
-        for _ in range(30):
-            cand = theta - scale * step
-            with np.errstate(over="ignore", invalid="ignore"):
-                cand_resid = model(n, *cand) - y
-                cand_sse = float(cand_resid @ cand_resid)
-            if cand_sse <= sse:
-                break
-            scale *= 0.5
-        else:
-            return theta, sse, False
-        moved = np.max(np.abs(scale * step) / (1.0 + np.abs(theta)))
-        theta, resid, sse = cand, cand_resid, cand_sse
-        if moved < _GN_STEP_TOL:
-            return theta, sse, True
+    theta, sse = [float(t) for t in theta0], math.inf
+    try:
+        resid = [model(x, *theta) - v for x, v in zip(n, y)]
+        sse = _dot_plain(resid, resid)
+        for _ in range(_GN_MAX_ITER):
+            j = []
+            for k, t in enumerate(theta):
+                dk, up, down = 1e-6 * max(1.0, abs(t)), theta.copy(), theta.copy()
+                up[k], down[k] = t + dk, t - dk
+                j.append([(model(x, *up) - model(x, *down)) / (2.0 * dk) for x in n])
+            step = _lu_solve([[_dot_plain(a, b) for b in j] for a in j],
+                             [_dot_plain(a, resid) for a in j])
+            for scale in (0.5 ** k for k in range(30)):
+                cand = [t - scale * s for t, s in zip(theta, step)]
+                try:
+                    cand_resid = [model(x, *cand) - v for x, v in zip(n, y)]
+                except (OverflowError, ZeroDivisionError):  # SSE inf: worse
+                    continue
+                if (cand_sse := _dot_plain(cand_resid, cand_resid)) <= sse:
+                    break
+            else:
+                return theta, sse, False
+            moved = max(abs(scale * s) / (1.0 + abs(t)) for t, s in zip(theta, step))
+            theta, resid, sse = cand, cand_resid, cand_sse
+            if moved < _GN_STEP_TOL:
+                return theta, sse, True
+    except (OverflowError, ZeroDivisionError):  # at the start, in J, or J'J singular
+        pass
     return theta, sse, False
 
 
@@ -381,21 +388,17 @@ def fit_power_law(grid: Sequence[tuple], scenario) -> FitCoefficients:
     scenario = Scenario.parse(scenario)
     rows = list(grid)
     if len(rows) < 4:
-        raise ValueError(
-            f"need at least 4 grid points to fit, got {len(rows)}"
-        )
+        raise ValueError(f"need at least 4 grid points to fit, got {len(rows)}")
     form, series = _POWER_LAWS[scenario]
     want = 1 + len(series)
     for row in rows:
         if len(row) != want:
-            raise ValueError(
-                f"scenario {scenario.value} expects rows of length {want}, got {row!r}"
-            )
-    n = np.array([float(check_sample_size(r[0])) for r in rows])
-    ys = [np.array([float(r[k]) for r in rows]) for k in range(1, want)]
-    for y in ys:
-        if not np.all((y >= 0.0) & (y <= 1.0)):
-            raise ValueError("grid weights must be finite and lie in [0, 1]")
+            raise ValueError(f"scenario {scenario.value} expects rows of length "
+                             f"{want}, got {row!r}")
+    n = [float(check_sample_size(r[0])) for r in rows]
+    ys = [[float(r[k]) for r in rows] for k in range(1, want)]
+    if not all(0.0 <= v <= 1.0 for y in ys for v in y):
+        raise ValueError("grid weights must be finite and lie in [0, 1]")
 
     coeffs, residual, converged = [], 0.0, True
     for y, (model, start) in zip(ys, series):
@@ -408,7 +411,4 @@ def fit_power_law(grid: Sequence[tuple], scenario) -> FitCoefficients:
         raise FitConvergenceError(
             f"power-law fit for {scenario.value} did not converge; "
             f"best residual {coeff.residual:g}", best=coeff)
-    if not math.isfinite(coeff.residual):
-        raise FitConvergenceError(
-            f"power-law fit for {scenario.value} diverged", best=coeff)
     return coeff

@@ -581,6 +581,18 @@ class TestFit:
         assert err.startswith("optmean fit: input error: power-law fit for s2 "
                               "did not converge")
 
+    def test_singular_fit_is_data_error_without_traceback(self, tmp_path, capsys):
+        # a flat 0.7 leaves c2 of 0.7 + c1*n^c2 unidentified: J'J is singular
+        table = tmp_path / "weights.csv"
+        table.write_text("n,scenario,exact_w1\n" + "".join(
+            f"{n},s2,0.7\n" for n in range(5, 42, 4)))
+        code, out, err = run_cli([
+            "fit", "--scenario", "s2", "--input", str(table)], capsys)
+        assert (code, out) == (EXIT_DATA, "")
+        assert err.startswith("optmean fit: input error: power-law fit for s2 "
+                              "did not converge; best residual ")
+        assert err.count("\n") == 1
+
     def test_underdetermined_input_is_data_error(self, tmp_path, capsys):
         table = tmp_path / "weights.csv"
         run_cli(["weights", "--scenario", "s1", "--grid", "5:9:4",
@@ -1044,6 +1056,10 @@ _EACH_TABLE_READER = pytest.mark.parametrize("argv,plain", [
     ids=["estimate", "fit", "meta"])
 
 
+_STUDY_HEADER = ("index,label,n_cases,n_controls,payload_type,"
+                 "f01,f02,f03,f04,f05,f06,f07,f08,f09,f10,f11,note")
+
+
 class TestTableFormat:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("argv,body", OUTPUT_SHAPES,
@@ -1104,6 +1120,23 @@ class TestTableFormat:
         assert code == EXIT_DATA
         assert out == ""
         assert err == f"optmean {argv[0]}: input error: line 5: {message}\n"
+
+    @pytest.mark.parametrize("argv,header,row,name", [
+        (["estimate"], "scenario,n,min,q1,median,q3,max", "s1,,1,,2,,3", "n"),
+        (["fit", "--scenario", "s1"], "n,scenario,exact_w1", ",s1,0.3", "n"),
+        *((["meta"], _STUDY_HEADER, row, name) for row, name in [
+            (",x,40,40,meansd,1,2,3,4,,,,,,,,", "index"),
+            ("1,x,,40,meansd,1,2,3,4,,,,,,,,", "n_cases"),
+            ("1,x,40,,meansd,1,2,3,4,,,,,,,,", "n_controls")])],
+        ids=["estimate", "fit", "meta-index", "meta-n_cases", "meta-n_controls"])
+    def test_empty_integer_cell_is_a_missing_field(self, argv, header, row, name,
+                                                  tmp_path, capsys):
+        src = tmp_path / "table.csv"
+        src.write_text(f"# optmean table\n{header}\n{row}\n")
+        code, out, err = run_cli(argv + ["--input", str(src)], capsys)
+        assert (code, out) == (EXIT_DATA, "")
+        assert err == (f"optmean {argv[0]}: input error: line 3: "
+                       f"missing required field {name}\n")
 
     @_EACH_TABLE_READER
     def test_leading_byte_order_mark_is_ignored(self, argv, plain, tmp_path, capsys):
@@ -1660,6 +1693,17 @@ class TestStartup:
         }
         report = _watched_report(commands, ["numpy", "scipy", "fractions", "decimal"],
                                  tmp_path)
+        assert report == {"import": [], **{label: [EXIT_OK, []] for label in commands}}
+
+    def test_fit_loads_neither_numpy_nor_scipy(self, tmp_path):
+        # the power law is fitted in Python floats, on the table's weights or
+        # on those solved from the shipped quadrature table
+        table = tmp_path / "weights.csv"
+        assert main(["weights", "--scenario", "s3", "--grid", "5:41:4",
+                     "--output", str(table)]) == EXIT_OK
+        commands = {"fit-input": ["fit", "--scenario", "s3", "--input", str(table)],
+                    "fit": ["fit", "--scenario", "s3"]}
+        report = _watched_report(commands, ["numpy", "scipy"], tmp_path)
         assert report == {"import": [], **{label: [EXIT_OK, []] for label in commands}}
 
     def test_package_version_is_the_imported_version(self):

@@ -18,14 +18,18 @@ import copy
 import itertools
 import json
 import math
+import os
 import platform
 import re
+import subprocess
+import sys
 
 import numpy
 import pytest
 import scipy
 
 from make_corpus import CORPUS, COLUMNS, moved_under_stored_version, run, write_inputs
+import optmean
 from optmean import __version__
 from optmean.cli import SEED_ENV_VAR
 
@@ -106,6 +110,30 @@ def test_header_reruns_the_output(entry, tmp_path, monkeypatch):
     code, out, err = run(header_argv(entry["stdout"]))
     assert (code, err) == (0, "")
     assert matches(entry["stdout"], out, SAME_LIBRARIES), out
+
+
+# what numpy and OpenBLAS read to run an AVX2-only x86-64 host's kernels: numpy
+# keeps its X86_V3 (AVX2/FMA) targets, OpenBLAS takes its Haswell kernel
+AVX2_HOST = {"OPENBLAS_CORETYPE": "Haswell",
+             "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
+
+FITS = {key: entry for key, entry in SUCCEEDED.items() if entry["argv"][0] == "fit"}
+
+
+@pytest.mark.parametrize("entry", FITS.values(), ids=FITS.keys())
+def test_fit_is_the_same_under_another_hosts_kernels(entry, tmp_path):
+    # the fit's sums and powers are Python floats, so its bytes do not move;
+    # entries 05, 07 and 08 did while they ran through numpy and BLAS. Only
+    # the child sees AVX2_HOST
+    write_inputs(tmp_path, CORPUS_DATA["inputs"])
+    env = {key: value for key, value in os.environ.items() if key != SEED_ENV_VAR}
+    env.update(AVX2_HOST, COLUMNS=COLUMNS,
+               PYTHONPATH=os.path.dirname(os.path.dirname(optmean.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "optmean.cli", *entry["argv"]],
+                          capture_output=True, text=True, encoding="utf-8", env=env,
+                          cwd=tmp_path, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert matches(entry["stdout"], proc.stdout, SAME_LIBRARIES), proc.stdout
 
 
 def test_corpus_covers_every_command_format_and_refusal():

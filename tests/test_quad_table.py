@@ -30,3 +30,13 @@ def test_row_is_the_kernel_output(n):
         assert row == integrated
     else:
         assert row == pytest.approx(integrated, rel=0, abs=ATOL)
+
+
+def test_empty_size_cell_is_a_missing_field(tmp_path):
+    lines = order_stats._quad_table_file().read_text(encoding="utf-8").splitlines()
+    first = next(k for k, line in enumerate(lines) if line.startswith("5,"))
+    lines[first] = lines[first][1:]
+    table = tmp_path / "quad_moments.csv"
+    table.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^line {first + 1}: missing required field n$"):
+        order_stats._read_quad_table(table)

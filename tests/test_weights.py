@@ -9,9 +9,11 @@ from hypothesis import given, settings, strategies as st
 from optmean.errors import FitConvergenceError, NumericalError, ScenarioError
 from optmean.order_stats import OrderStatMoments, moments_quadrature
 from optmean.weights import (
+    _POWER_LAWS,
     FitCoefficients,
     Scenario,
     WeightSet,
+    _gauss_newton,
     approx_weight,
     fit_power_law,
     optimal_weight_s1,
@@ -350,3 +352,58 @@ class TestFitPowerLaw:
             # a converged least-squares answer is also acceptable; it just
             # has to report an honest (large) residual
             assert fit.residual > 0.1
+
+
+class TestGaussNewtonRules:
+    """The fit runs on Python floats, which raise where numpy returned inf or
+    nan: an overflowing candidate is a worse one, and a singular J'J or an
+    overflowing Jacobian ends the fit unconverged at its best point."""
+
+    SIZES = [float(n) for n in range(5, 42, 4)]
+
+    @staticmethod
+    def ignores_c2(n, c1, c2):
+        return c1 / (c1 + n)
+
+    def test_singular_normal_matrix_ends_the_fit_unconverged(self, monkeypatch):
+        y = [self.ignores_c2(n, 3.0, 0.0) for n in self.SIZES]
+        theta, sse, converged = _gauss_newton(self.ignores_c2, self.SIZES, y, (4.0, -0.75))
+        assert (theta, converged) == ([4.0, -0.75], False)
+        assert math.isfinite(sse)
+        form = _POWER_LAWS[Scenario.S1][0]
+        monkeypatch.setitem(_POWER_LAWS, Scenario.S1,
+                            (form, [(self.ignores_c2, (4.0, -0.75))]))
+        with pytest.raises(FitConvergenceError, match="did not converge") as excinfo:
+            fit_power_law([(int(n), w) for n, w in zip(self.SIZES, y)], "s1")
+        best = excinfo.value.best
+        assert (best.c1, best.c2) == (4.0, -0.75) and math.isfinite(best.residual)
+
+    def test_flat_s2_table_is_singular_not_a_zero_division(self):
+        # 0.7 + c1*n^c2 meets 0.7 at c1 = 0, where c2 is not identified
+        with pytest.raises(FitConvergenceError) as excinfo:
+            fit_power_law([(n, 0.7) for n in range(5, 42, 4)], "s2")
+        assert math.isfinite(excinfo.value.best.residual)
+
+    def test_overflowing_candidate_is_rejected_as_worse(self):
+        # from b = -20 the model is flat in b, so the first full step sends
+        # b past 1e6, where 2.0 ** b raises; halving it returns to the fit
+        overflowed = []
+
+        def model(n, a, b):
+            try:
+                return a / n + 2.0 ** b
+            except OverflowError:
+                overflowed.append(b)
+                raise
+
+        y = [1.0 / n + 1.0 for n in self.SIZES]
+        theta, sse, converged = _gauss_newton(model, self.SIZES, y, (1.0, -20.0))
+        assert overflowed and min(overflowed) > 1024
+        assert converged and sse < 1e-24
+        assert theta == pytest.approx([1.0, 0.0], abs=1e-12)
+
+    def test_overflowing_start_ends_the_fit_unconverged(self):
+        y = [0.5] * len(self.SIZES)
+        theta, sse, converged = _gauss_newton(lambda n, a, b: a * n ** b, self.SIZES, y,
+                                              (1.0, 1e6))
+        assert (theta, sse, converged) == ([1.0, 1e6], math.inf, False)
