@@ -19,10 +19,16 @@ or a draw; see `order_stats`), so the import, ``--help``, a refused flag,
 --method optimal-exact` on the shipped quadrature table, whose exact weights
 and power-law fit are solved in Python floats, `fit --input`, and `meta` by
 its default methods load neither.
+The value classes are `_value.Value` subclasses that write their own
+``__init__``, so no method is generated at import; nothing here imports
+``inspect`` or ``platform``, and ``json`` is imported only for ``--format
+json``. A command that loads no numpy loads none of them (numpy imports
+``inspect`` and ``platform``, ``scipy.special`` ``json``).
 `_moment_source` alone picks the moment backend and checks its domain.
-The header's numpy and scipy versions are read from each package's own
-``version.py``, the file its ``__init__`` takes ``__version__`` from, without
-importing the package.
+The header's Python version is ``sys.version``'s first word, which
+``platform.python_version()`` parses, and its numpy and scipy versions are read
+from each package's own ``version.py``, the file its ``__init__`` takes
+``__version__`` from, without importing the package.
 """
 
 from __future__ import annotations
@@ -30,13 +36,10 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import dataclasses
 import functools
 import importlib.util
 import io
-import json
 import os
-import platform
 import re
 import sys
 
@@ -80,7 +83,7 @@ def _package_version(name: str) -> str:
 @functools.lru_cache(maxsize=None)
 def _libraries() -> dict:
     # the MC bits rest on numpy's Philox and scipy's special functions
-    return {"python": platform.python_version(), "numpy": _package_version("numpy"),
+    return {"python": sys.version.split()[0], "numpy": _package_version("numpy"),
             "scipy": _package_version("scipy")}
 
 
@@ -156,6 +159,8 @@ def _emit(args, fields, rows, document=None, footer=()):
     (default ``{"rows": [...]}``)."""
     config = _header(args)
     if args.format == "json":
+        import json
+
         body = document or {"rows": [dict(zip(fields, row)) for row in rows]}
         text = json.dumps({"command": args.command, "version": __version__,
                            "config": {**config, "libraries": _libraries()}, **body},
@@ -309,7 +314,7 @@ def _cmd_fit(args):
         grid = [(n, *optimal_weights(moments(n), scenario).part_weights[:-1])
                 for n in grid_ns]
         coeff = fit_power_law(grid, scenario)
-    result = {**vars(coeff), "scenario": scenario.value, "n_points": len(grid)}
+    result = {**coeff._asdict(), "scenario": scenario.value, "n_points": len(grid)}
     _emit(args, tuple(result), [list(result.values())], {"fit": result})
 
 
@@ -328,8 +333,7 @@ def _cmd_simulate(args):
         n_grid=tuple(_parse_grid(args.grid)), replicates=args.reps, seed=args.seed)
     args.methods = ",".join(config.methods)
     report = run_rmse(config)
-    _emit(args, [field.name for field in dataclasses.fields(RmseRow)],
-          [dataclasses.astuple(row) for row in report.rows])
+    _emit(args, RmseRow._fields, [row._values() for row in report.rows])
 
 
 # ---------------------------------------------------------------------------

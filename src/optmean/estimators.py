@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 from typing import Callable, Optional
 
+from ._value import Value
 from .errors import ScenarioError
 from .order_stats import SUMMARY_FIELDS, OrderStatMoments, _PART_ROWS, \
     check_sample_size, moments_quadrature, normal_quantile, summary_parts
@@ -55,24 +55,20 @@ _PRESENT = {scenario: tuple(name in fields for name in SUMMARY_FIELDS)
             for scenario, fields in FIELDS_BY_SCENARIO.items()}
 
 
-@dataclass(frozen=True)
-class FiveNumberSummary:
+class FiveNumberSummary(Value):
     """A study's reported summary fragment, in data units.
 
     Exactly the scenario's `FIELDS_BY_SCENARIO` are present, in order.
     """
 
-    scenario: Scenario
-    n: int
-    median: float
-    minimum: Optional[float] = None
-    q1: Optional[float] = None
-    q3: Optional[float] = None
-    maximum: Optional[float] = None
+    _fields = ("scenario", "n", "median", "minimum", "q1", "q3", "maximum")
 
-    def __post_init__(self):
-        object.__setattr__(self, "scenario", Scenario.parse(self.scenario))
-        object.__setattr__(self, "n", check_sample_size(self.n))
+    def __init__(self, scenario: Scenario, n: int, median: float,
+                 minimum: Optional[float] = None, q1: Optional[float] = None,
+                 q3: Optional[float] = None, maximum: Optional[float] = None):
+        self.__dict__.update(scenario=Scenario.parse(scenario), n=check_sample_size(n),
+                             median=median, minimum=minimum, q1=q1, q3=q3,
+                             maximum=maximum)
         for name, value, wanted in zip(SUMMARY_FIELDS, self.values(),
                                        _PRESENT[self.scenario]):
             if wanted == (value is None):
@@ -94,21 +90,18 @@ class FiveNumberSummary:
         return tuple(v for v in self.values() if v is not None)
 
 
-@dataclass(frozen=True)
-class Estimate:
+class Estimate(Value):
     """A mean or SD estimate with the method and weights that produced it."""
 
-    value: float
-    method: str
-    weight_set: Optional[WeightSet] = None
+    _fields = ("value", "method", "weight_set")
 
-    def __post_init__(self):
+    def __init__(self, value: float, method: str, weight_set: Optional[WeightSet] = None):
+        self.__dict__.update(value=value, method=method, weight_set=weight_set)
         if not math.isfinite(self.value):
             raise ValueError(f"{self.method} estimate overflows to {self.value!r}")
 
 
-@dataclass(frozen=True)
-class Method:
+class Method(Value):
     """One mean estimator: the scenarios it applies to and its weight rule.
 
     ``weights(scenario, n, moments)`` gives the `WeightSet`; only the exact
@@ -117,10 +110,14 @@ class Method:
     ``default`` marks the methods a simulation compares when none are named.
     """
 
-    scenarios: frozenset
-    weights: Optional[Callable[[Scenario, int, Optional[OrderStatMoments]], WeightSet]]
-    label: str
-    default: bool = False
+    _fields = ("scenarios", "weights", "label", "default")
+
+    def __init__(self, scenarios: frozenset,
+                 weights: Optional[Callable[[Scenario, int, Optional[OrderStatMoments]],
+                                            WeightSet]],
+                 label: str, default: bool = False):
+        self.__dict__.update(scenarios=scenarios, weights=weights, label=label,
+                             default=default)
 
 
 def _legacy(w1, w2=None):
@@ -313,15 +310,17 @@ def _wan_sd(summary: FiveNumberSummary) -> float:
                   + wan_sd_from_quartiles(summary.q1, summary.q3, summary.n))
 
 
-@dataclass(frozen=True)
-class SdMethod:
+class SdMethod(Value):
     """One SD rule: the scenarios it applies to, its value on a summary,
     its value from ``(minimum, maximum, n)`` alone, and its output label."""
 
-    scenarios: frozenset
-    on_summary: Callable[[FiveNumberSummary], float]
-    from_range: Callable[[float, float, int], float]
-    label: str
+    _fields = ("scenarios", "on_summary", "from_range", "label")
+
+    def __init__(self, scenarios: frozenset,
+                 on_summary: Callable[[FiveNumberSummary], float],
+                 from_range: Callable[[float, float, int], float], label: str):
+        self.__dict__.update(scenarios=scenarios, on_summary=on_summary,
+                             from_range=from_range, label=label)
 
 
 SD_METHODS = {

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, fields
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 from typing import Sequence, Union
 
 from ._table import cell_float, cell_int, packaged, read_table
+from ._value import Value
 from .estimators import (
     PROFILES,
     SD_METHODS,
@@ -51,35 +51,38 @@ _LN_OR_TO_D = math.sqrt(3.0) / math.pi
 _Z95 = 1.96
 
 
-@dataclass(frozen=True)
-class FiveNumberPayload:
-    cases: FiveNumberSummary
-    controls: FiveNumberSummary
+class FiveNumberPayload(Value):
+    _fields = ("cases", "controls")
+
+    def __init__(self, cases: FiveNumberSummary, controls: FiveNumberSummary):
+        self.__dict__.update(cases=cases, controls=controls)
 
 
-@dataclass(frozen=True)
-class MeanSdPayload:
-    mean_cases: float
-    sd_cases: float
-    mean_controls: float
-    sd_controls: float
+class MeanSdPayload(Value):
+    _fields = ("mean_cases", "sd_cases", "mean_controls", "sd_controls")
+
+    def __init__(self, mean_cases: float, sd_cases: float, mean_controls: float,
+                 sd_controls: float):
+        self.__dict__.update(mean_cases=mean_cases, sd_cases=sd_cases,
+                             mean_controls=mean_controls, sd_controls=sd_controls)
 
 
-@dataclass(frozen=True)
-class OddsRatioPayload:
-    odds_ratio: float
-    ci_low: float
-    ci_high: float
+class OddsRatioPayload(Value):
+    _fields = ("odds_ratio", "ci_low", "ci_high")
+
+    def __init__(self, odds_ratio: float, ci_low: float, ci_high: float):
+        self.__dict__.update(odds_ratio=odds_ratio, ci_low=ci_low, ci_high=ci_high)
 
 
-@dataclass(frozen=True)
-class MeanRangePayload:
-    mean_cases: float
-    min_cases: float
-    max_cases: float
-    mean_controls: float
-    min_controls: float
-    max_controls: float
+class MeanRangePayload(Value):
+    _fields = ("mean_cases", "min_cases", "max_cases", "mean_controls", "min_controls",
+               "max_controls")
+
+    def __init__(self, mean_cases: float, min_cases: float, max_cases: float,
+                 mean_controls: float, min_controls: float, max_controls: float):
+        self.__dict__.update(mean_cases=mean_cases, min_cases=min_cases,
+                             max_cases=max_cases, mean_controls=mean_controls,
+                             min_controls=min_controls, max_controls=max_controls)
 
 
 Payload = Union[FiveNumberPayload, MeanSdPayload, OddsRatioPayload, MeanRangePayload]
@@ -94,30 +97,26 @@ def _arm_sizes(n_cases, n_controls) -> tuple[int, int]:
     return arms
 
 
-@dataclass(frozen=True)
-class StudyRecord:
-    index: int
-    label: str
-    n_cases: int
-    n_controls: int
-    payload: Payload
-    note: str = ""
+class StudyRecord(Value):
+    _fields = ("index", "label", "n_cases", "n_controls", "payload", "note")
 
-    def __post_init__(self):
+    def __init__(self, index: int, label: str, n_cases: int, n_controls: int,
+                 payload: Payload, note: str = ""):
+        self.__dict__.update(index=index, label=label, n_cases=n_cases,
+                             n_controls=n_controls, payload=payload, note=note)
         try:
             _arm_sizes(self.n_cases, self.n_controls)
         except ValueError as exc:
             raise ValueError(f"study {self.index}: {exc}") from None
 
 
-@dataclass(frozen=True)
-class StudyEffect:
+class StudyEffect(Value):
     """Standardized mean difference (controls minus cases) and its variance."""
 
-    d: float
-    var_d: float
+    _fields = ("d", "var_d")
 
-    def __post_init__(self):
+    def __init__(self, d: float, var_d: float):
+        self.__dict__.update(d=d, var_d=var_d)
         if not (math.isfinite(self.d) and math.isfinite(self.var_d)):
             raise ValueError(f"effect is not finite: d={self.d!r}, var_d={self.var_d!r}")
         if not self.var_d > 0:
@@ -133,30 +132,29 @@ class StudyEffect:
         return (self.d - half, self.d + half)
 
 
-@dataclass(frozen=True)
-class Heterogeneity:
-    q: float
-    df: int
-    p_value: float
-    i_squared: float
+class Heterogeneity(Value):
+    _fields = ("q", "df", "p_value", "i_squared")
+
+    def __init__(self, q: float, df: int, p_value: float, i_squared: float):
+        self.__dict__.update(q=q, df=df, p_value=p_value, i_squared=i_squared)
 
 
-@dataclass(frozen=True)
-class MetaResult:
-    effects: tuple[StudyEffect, ...]
-    pooled_d: float
-    pooled_ci95: tuple[float, float]
-    q: float
-    df: int
-    p_value: float
-    i_squared: float
-    tau_squared: float
+class MetaResult(Value):
+    _fields = ("effects", "pooled_d", "pooled_ci95", "q", "df", "p_value", "i_squared",
+               "tau_squared")
+
+    def __init__(self, effects: tuple[StudyEffect, ...], pooled_d: float,
+                 pooled_ci95: tuple[float, float], q: float, df: int, p_value: float,
+                 i_squared: float, tau_squared: float):
+        self.__dict__.update(effects=effects, pooled_d=pooled_d, pooled_ci95=pooled_ci95,
+                             q=q, df=df, p_value=p_value, i_squared=i_squared,
+                             tau_squared=tau_squared)
 
     def to_dict(self) -> dict:
         """Every field, the effects and intervals as JSON-ready lists."""
         effects = [{"d": e.d, "var_d": e.var_d, "weight": e.weight, "ci95": list(e.ci95)}
                    for e in self.effects]
-        return {**vars(self), "effects": effects, "pooled_ci95": list(self.pooled_ci95)}
+        return {**self._asdict(), "effects": effects, "pooled_ci95": list(self.pooled_ci95)}
 
 
 class StudyConversionError(ValueError):
@@ -303,7 +301,7 @@ def pool_random_effects(effects: Sequence[StudyEffect]) -> MetaResult:
     pooled = sum(w * e.d for w, e in zip(star, effects)) / total
     half = _Z95 / math.sqrt(total)
     return MetaResult(effects=effects, pooled_d=pooled,
-                      pooled_ci95=(pooled - half, pooled + half), **vars(het),
+                      pooled_ci95=(pooled - half, pooled + half), **het._asdict(),
                       tau_squared=tau2)
 
 
@@ -388,13 +386,13 @@ def _parse_payload(row: dict, n_cases: int, n_controls: int) -> Payload:
     f = [row.get(f"f{k:02d}", "") for k in range(1, 12)]
     if cls is not FiveNumberPayload:
         # all fields required, in field order from f01, and no value after them
-        size = len(fields(cls))
+        size = len(cls._fields)
         for k, raw in enumerate(f[size:], start=size + 1):
             if raw.strip():
                 raise ValueError(f"{kind} takes f01..f{size:02d}, but f{k:02d} "
                                  f"holds {raw.strip()!r}")
-        return cls(*(cell_float(raw, f"{field.name} (f{k:02d})")
-                     for k, (field, raw) in enumerate(zip(fields(cls), f), start=1)))
+        return cls(*(cell_float(raw, f"{name} (f{k:02d})")
+                     for k, (name, raw) in enumerate(zip(cls._fields, f), start=1)))
     scenario = f[0].strip().lower()
     if not scenario:
         raise ValueError("fivenum payload needs a scenario in f01")

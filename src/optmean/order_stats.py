@@ -44,11 +44,11 @@ import importlib
 import math
 import operator
 import sys
-from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial, reduce
 from typing import Mapping
 
 from ._table import cell_float, cell_int, packaged, read_table
+from ._value import Value
 from .errors import NumericalError, ScenarioError
 
 __all__ = [
@@ -227,12 +227,13 @@ def summary_parts(minimum, q1, median, q3, maximum):
             median)
 
 
-@dataclass(frozen=True)
-class OrderIndexSet:
+class OrderIndexSet(Value):
     """The five summary ranks {1, Q+1, 2Q+1, 3Q+1, n} for n = 4Q + 1."""
 
-    n: int
-    q: int
+    _fields = ("n", "q")
+
+    def __init__(self, n: int, q: int):
+        self.__dict__.update(n=n, q=q)
 
     @classmethod
     def from_size(cls, n: int) -> "OrderIndexSet":
@@ -253,8 +254,7 @@ class OrderIndexSet:
         property(lambda self, k=k: self.indices[k]) for k in range(5))
 
 
-@dataclass(frozen=True)
-class OrderStatMoments:
+class OrderStatMoments(Value):
     """Means and raw second moments of the five summary order statistics.
 
     ``means[i] = E(Z_(i))`` and ``second_moments[(i, j)] = E(Z_(i) Z_(j))``
@@ -263,13 +263,13 @@ class OrderStatMoments:
     error, or quadrature's 1e-8 panel acceptance tolerance).
     """
 
-    n: int
-    means: Mapping[int, float]
-    second_moments: Mapping[tuple[int, int], float]
-    backend: str
-    std_error: float
+    _fields = ("n", "means", "second_moments", "backend", "std_error")
 
-    def __post_init__(self):
+    def __init__(self, n: int, means: Mapping[int, float],
+                 second_moments: Mapping[tuple[int, int], float], backend: str,
+                 std_error: float):
+        self.__dict__.update(n=n, means=means, second_moments=second_moments,
+                             backend=backend, std_error=std_error)
         idx = OrderIndexSet.from_size(self.n)
         expected = set(idx.indices)
         if set(self.means) != expected:
@@ -377,14 +377,13 @@ def _moments_from_row(n: int, values, backend: str, std_error: float) -> OrderSt
         backend=backend, std_error=std_error)
 
 
-@dataclass(frozen=True)
-class AsymptoticQuantileCov:
+class AsymptoticQuantileCov(Value):
     """Large-sample covariance of two sample quantiles of a normal sample."""
 
-    p_i: float
-    p_j: float
-    n: int
-    value: float
+    _fields = ("p_i", "p_j", "n", "value")
+
+    def __init__(self, p_i: float, p_j: float, n: int, value: float):
+        self.__dict__.update(p_i=p_i, p_j=p_j, n=n, value=value)
 
 
 def asymptotic_cov(p_i: float, p_j: float, n: int) -> AsymptoticQuantileCov:

@@ -27,11 +27,11 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from ._rng import cell_sums, replicate_chunks, replicate_uniforms, stream_key
+from ._value import Value
 from .estimators import DISTRIBUTION_KINDS, FIELDS_BY_SCENARIO, METHODS, \
     FiveNumberSummary, combine, lookup_method
 from .order_stats import SUMMARY_FIELDS, OrderIndexSet, check_moment_domain, \
@@ -176,8 +176,7 @@ _DISTRIBUTIONS = dict(zip(DISTRIBUTION_KINDS, (
 ), strict=True))
 
 
-@dataclass(frozen=True)
-class DistributionSpec:
+class DistributionSpec(Value):
     """A sampling distribution with its closed-form mean.
 
     ``kind`` is one of `DISTRIBUTION_KINDS` and ``params`` a tuple of
@@ -188,11 +187,10 @@ class DistributionSpec:
     and for a beta whole numbers from 1 to 64, the domain of `_beta_quantile`.
     """
 
-    kind: str
-    params: tuple[tuple[str, float], ...]
-    true_mean: float
+    _fields = ("kind", "params", "true_mean")
 
-    def __post_init__(self):
+    def __init__(self, kind: str, params: tuple[tuple[str, float], ...], true_mean: float):
+        self.__dict__.update(kind=kind, params=params, true_mean=true_mean)
         if self.kind not in _DISTRIBUTIONS:
             raise ValueError(f"unknown distribution kind {self.kind!r}")
         takes = sorted(name for name, _ in _DISTRIBUTIONS[self.kind][0])
@@ -232,50 +230,46 @@ def default_methods(scenario) -> tuple[str, ...]:
                  if method.default and scenario in method.scenarios)
 
 
-@dataclass(frozen=True)
-class SimulationConfig:
-    distribution: DistributionSpec
-    scenario: Scenario
-    methods: tuple[str, ...] = ()
-    n_grid: tuple[int, ...] = DEFAULT_N_GRID
-    replicates: int = 100_000
-    seed: int = 0
+class SimulationConfig(Value):
+    _fields = ("distribution", "scenario", "methods", "n_grid", "replicates", "seed")
 
-    def __post_init__(self):
-        object.__setattr__(self, "scenario", Scenario.parse(self.scenario))
-        if not self.methods:
-            object.__setattr__(self, "methods", default_methods(self.scenario))
-        object.__setattr__(self, "n_grid", tuple(OrderIndexSet.from_size(n).n
-                                                 for n in self.n_grid))
-        if not self.n_grid:
+    def __init__(self, distribution: DistributionSpec, scenario: Scenario,
+                 methods: tuple[str, ...] = (), n_grid: tuple[int, ...] = DEFAULT_N_GRID,
+                 replicates: int = 100_000, seed: int = 0):
+        scenario = Scenario.parse(scenario)
+        methods = methods or default_methods(scenario)
+        n_grid = tuple(OrderIndexSet.from_size(n).n for n in n_grid)
+        if not n_grid:
             raise ValueError("n_grid must not be empty")
-        for what, names in (("method", self.methods), ("sample size", self.n_grid)):
+        for what, names in (("method", methods), ("sample size", n_grid)):
             repeated = [name for name, count in Counter(names).items() if count > 1]
             if repeated:
                 raise ValueError(f"{what} {repeated[0]!r} is named more than once")
-        object.__setattr__(self, "replicates", check_replicates(
-            self.replicates, MIN_REPLICATES, "stable ratios"))
-        for method in self.methods:
-            lookup_method(method, self.scenario)
-        if "optimal_exact" in self.methods:
-            check_moment_domain(self.n_grid)
+        replicates = check_replicates(replicates, MIN_REPLICATES, "stable ratios")
+        for method in methods:
+            lookup_method(method, scenario)
+        if "optimal_exact" in methods:
+            check_moment_domain(n_grid)
+        self.__dict__.update(distribution=distribution, scenario=scenario, methods=methods,
+                             n_grid=n_grid, replicates=replicates, seed=seed)
 
 
-@dataclass(frozen=True)
-class RmseRow:
-    distribution: str
-    scenario: str
-    n: int
-    method: str
-    rmse: float
-    mc_std_error: float
-    replicates: int
+class RmseRow(Value):
+    _fields = ("distribution", "scenario", "n", "method", "rmse", "mc_std_error",
+               "replicates")
+
+    def __init__(self, distribution: str, scenario: str, n: int, method: str, rmse: float,
+                 mc_std_error: float, replicates: int):
+        self.__dict__.update(distribution=distribution, scenario=scenario, n=n,
+                             method=method, rmse=rmse, mc_std_error=mc_std_error,
+                             replicates=replicates)
 
 
-@dataclass(frozen=True)
-class RmseReport:
-    config: SimulationConfig
-    rows: tuple[RmseRow, ...] = field(default_factory=tuple)
+class RmseReport(Value):
+    _fields = ("config", "rows")
+
+    def __init__(self, config: SimulationConfig, rows: tuple[RmseRow, ...] = ()):
+        self.__dict__.update(config=config, rows=rows)
 
 
 # ---------------------------------------------------------------------------

@@ -19,11 +19,11 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
 from typing import Optional, Sequence
 
+from ._value import Value
 from .errors import FitConvergenceError, NumericalError, ScenarioError
 from .order_stats import OrderStatMoments, check_sample_size
 
@@ -71,8 +71,7 @@ _PARTS = {
 }
 
 
-@dataclass(frozen=True)
-class WeightSet:
+class WeightSet(Value):
     """Scenario weights for the weighted mean estimators.
 
     ``w1`` is the weight on the mid-range for S1 and S3 and on the
@@ -81,15 +80,12 @@ class WeightSet:
     median. ``n`` passes `check_sample_size`.
     """
 
-    scenario: Scenario
-    n: int
-    w1: float
-    w2: Optional[float] = None
-    source: str = "exact"
+    _fields = ("scenario", "n", "w1", "w2", "source")
 
-    def __post_init__(self):
-        object.__setattr__(self, "scenario", Scenario.parse(self.scenario))
-        object.__setattr__(self, "n", check_sample_size(self.n))
+    def __init__(self, scenario: Scenario, n: int, w1: float, w2: Optional[float] = None,
+                 source: str = "exact"):
+        self.__dict__.update(scenario=Scenario.parse(scenario), n=check_sample_size(n),
+                             w1=w1, w2=w2, source=source)
         if self.source not in ("exact", "approx", "legacy", "custom"):
             raise ValueError(f"unknown weight source {self.source!r}")
         if self.scenario is Scenario.S3:
@@ -311,8 +307,7 @@ def weighted_mse(weights: WeightSet, moments: OrderStatMoments) -> float:
 _GN_MAX_ITER, _GN_STEP_TOL = 200, 1e-12
 
 
-@dataclass(frozen=True)
-class FitCoefficients:
+class FitCoefficients(Value):
     """Fitted coefficients of the per-scenario weight approximations.
 
     ``model`` spells out the functional form the coefficients plug into;
@@ -320,13 +315,13 @@ class FitCoefficients:
     grid (both weight series for S3).
     """
 
-    scenario: Scenario
-    model: str
-    c1: float
-    c2: float
-    c3: Optional[float] = None
-    c4: Optional[float] = None
-    residual: float = 0.0
+    _fields = ("scenario", "model", "c1", "c2", "c3", "c4", "residual")
+
+    def __init__(self, scenario: Scenario, model: str, c1: float, c2: float,
+                 c3: Optional[float] = None, c4: Optional[float] = None,
+                 residual: float = 0.0):
+        self.__dict__.update(scenario=scenario, model=model, c1=c1, c2=c2, c3=c3, c4=c4,
+                             residual=residual)
 
 
 def _dot_plain(xs, ys) -> float:

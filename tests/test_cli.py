@@ -1,7 +1,6 @@
 """Command-line surface: flags, formats, exit codes, reproducibility."""
 
 import csv
-import dataclasses
 import io
 import itertools
 import json
@@ -21,7 +20,7 @@ from optmean.estimators import METHODS, SD_METHODS, SUMMARY_METHODS, \
 from optmean.errors import NumericalError, ScenarioError
 from optmean.meta import bundled_table1, cohens_d, load_bundled_studies, \
     read_study_csv, run_case_study
-from optmean.order_stats import moments_quadrature
+from optmean.order_stats import OrderStatMoments, moments_quadrature
 from optmean.weights import Scenario, optimal_weights
 
 
@@ -1658,18 +1657,13 @@ class TestStartup:
             "table2": ["meta", "--profile", "table2"],
             "table3": ["meta", "--profile", "table3"],
             "meta-input": ["meta", "--input", str(studies)],
-        }
-        # these compute with numpy, so they run last in the process
-        load_numpy = {
+            # the exact weights and the power-law fit are solved in Python floats
             "exact": ["estimate", *ONE_S1, "--method", "optimal-exact"],
             "weights": ["weights", "--scenario", "s3", "--n", "377"],
             "fit": ["fit", "--scenario", "s1", "--grid", "5:41:4"],
         }
-        report = _libraries_report({**loads_neither, **load_numpy}, tmp_path)
-        loaded = report["loaded"]
-        assert {label: loaded.pop(label)[0] for label in load_numpy} == dict.fromkeys(
-            load_numpy, EXIT_OK)
-        assert loaded == {"import": [None, []], **{
+        report = _libraries_report(loads_neither, tmp_path)
+        assert report["loaded"] == {"import": [None, []], **{
             label: [EXIT_USAGE if label == "refusal" else EXIT_OK, []]
             for label in loads_neither}}
         # the versions were imported after every header above was written
@@ -1705,6 +1699,36 @@ class TestStartup:
                     "fit": ["fit", "--scenario", "s3"]}
         report = _watched_report(commands, ["numpy", "scipy"], tmp_path)
         assert report == {"import": [], **{label: [EXIT_OK, []] for label in commands}}
+
+    def test_no_command_loads_dataclasses_inspect_or_platform(self, tmp_path):
+        # the value classes are plain classes, and the header's Python version
+        # is read from `sys.version`
+        table, summaries, studies = (tmp_path / name for name in (
+            "weights.csv", "summaries.csv", "studies.csv"))
+        assert main(["weights", "--scenario", "s3", "--grid", "5:41:4",
+                     "--output", str(table)]) == EXIT_OK
+        summaries.write_text("scenario,n,min,q1,median,q3,max\n"
+                             "s3,29,1,4.5,6,9,20\ns1,377,1,,6,,20\ns2,101,,4,5,8,\n")
+        studies.write_text(bundled_table1().read_text(encoding="utf-8"))
+        commands = {
+            "help": ["--help"],
+            "refusal": ["weights", "--scenario", "s1", "--n", "505"],
+            "approx": ["estimate", *ONE_S1, "--method", "optimal-approx"],
+            "exact": ["estimate", *ONE_S1, "--method", "optimal-exact"],
+            "estimate-input": ["estimate", "--input", str(summaries)],
+            "weights": ["weights", "--scenario", "s3", "--n", "377"],
+            "grid": ["weights", "--scenario", "s2", "--grid", "5:501:4"],
+            "fit": ["fit", "--scenario", "s3", "--grid", "5:41:4"],
+            "fit-input": ["fit", "--scenario", "s3", "--input", str(table)],
+            "table2": ["meta", "--profile", "table2"],
+            "table3": ["meta", "--profile", "table3"],
+            "meta-input": ["meta", "--input", str(studies)],
+        }
+        report = _watched_report(commands, ["dataclasses", "inspect", "platform"],
+                                 tmp_path)
+        assert report == {"import": [], **{
+            label: [EXIT_USAGE if label == "refusal" else EXIT_OK, []]
+            for label in commands}}
 
     def test_package_version_is_the_imported_version(self):
         # json has no version.py, so its version comes from the imported package
@@ -1776,8 +1800,8 @@ class TestPerSizeWeights:
                                 str(src), "--format", "json"], capsys)
         assert code == EXIT_OK
         for row in json.loads(out)["rows"]:
-            # a copy of the served moments has solved nothing yet
-            fresh = optimal_weights(dataclasses.replace(moments_quadrature(29)),
+            # moments rebuilt from the served ones' fields have solved nothing yet
+            fresh = optimal_weights(OrderStatMoments(**moments_quadrature(29)._asdict()),
                                     row["scenario"])
             assert [repr(row["w1"]), repr(row["w2"])] == [repr(fresh.w1), repr(fresh.w2)]
         first, again = (estimate_mean(FiveNumberSummary(
