@@ -6,7 +6,6 @@ import csv
 import math
 import os
 import re
-from importlib import resources
 from typing import Optional
 
 _UNDECODED = re.compile("[\udc80-\udcff]")  # a non-UTF-8 byte under surrogateescape
@@ -14,6 +13,7 @@ _UNDECODED = re.compile("[\udc80-\udcff]")  # a non-UTF-8 byte under surrogatees
 
 def packaged(name: str):
     """The packaged data file ``data/<name>``, a `read_table` source."""
+    from importlib import resources  # loaded only by a command that reads one
     return resources.files("optmean").joinpath(f"data/{name}")
 
 

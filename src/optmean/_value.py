@@ -4,13 +4,32 @@
 class Value:
     """A frozen record of the fields its class names in ``_fields``.
 
-    A subclass's ``__init__`` sets each field once, into ``__dict__`` (where a
-    `functools.cached_property` keeps its value too). Equality and the hash
+    ``Value.__init__`` sets each field once, into ``__dict__`` (where a
+    `functools.cached_property` keeps its value too), by position, then by
+    keyword, then from ``_defaults``; a class that checks its fields writes
+    its own, and no method is generated at import. Equality and the hash
     are field-wise, an instance of another class is never equal, the repr is
     ``Name(field=value, ...)``, and no attribute can be assigned or deleted.
     """
 
     _fields: tuple = ()
+    _defaults: dict = {}
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if len(args) == len(fields) and not kwargs:
+            self.__dict__.update(zip(fields, args))
+            return
+        name, given = type(self).__qualname__, dict(zip(fields, args))
+        if len(args) > len(fields):
+            raise TypeError(f"{name}() takes {len(fields)} fields, got {len(args)}")
+        for field in kwargs:
+            if field in given or field not in fields:
+                raise TypeError(f"{name}() got a repeated or unknown field {field!r}")
+        values = {**self._defaults, **given, **kwargs}
+        if missing := [field for field in fields if field not in values]:
+            raise TypeError(f"{name}() is missing the fields {missing}")
+        self.__dict__.update((field, values[field]) for field in fields)
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)

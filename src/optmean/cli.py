@@ -19,11 +19,11 @@ or a draw; see `order_stats`), so the import, ``--help``, a refused flag,
 --method optimal-exact` on the shipped quadrature table, whose exact weights
 and power-law fit are solved in Python floats, `fit --input`, and `meta` by
 its default methods load neither.
-The value classes are `_value.Value` subclasses that write their own
-``__init__``, so no method is generated at import; nothing here imports
-``inspect`` or ``platform``, and ``json`` is imported only for ``--format
-json``. A command that loads no numpy loads none of them (numpy imports
-``inspect`` and ``platform``, ``scipy.special`` ``json``).
+The value classes inherit `_value.Value.__init__` or write a checking one,
+so no method is generated at import; nothing here imports ``inspect`` or
+``platform``, and ``json`` is imported only for ``--format json``. A command
+that loads no numpy loads none of them (numpy imports ``inspect`` and
+``platform``, ``scipy.special`` ``json``).
 `_moment_source` alone picks the moment backend and checks its domain.
 The header's Python version is ``sys.version``'s first word, which
 ``platform.python_version()`` parses, and its numpy and scipy versions are read

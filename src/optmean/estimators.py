@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import operator
 from functools import lru_cache, reduce
-from typing import Callable, Optional
+from typing import Optional
 
 from ._value import Value
 from .errors import ScenarioError
@@ -111,13 +111,7 @@ class Method(Value):
     """
 
     _fields = ("scenarios", "weights", "label", "default")
-
-    def __init__(self, scenarios: frozenset,
-                 weights: Optional[Callable[[Scenario, int, Optional[OrderStatMoments]],
-                                            WeightSet]],
-                 label: str, default: bool = False):
-        self.__dict__.update(scenarios=scenarios, weights=weights, label=label,
-                             default=default)
+    _defaults = {"default": False}
 
 
 def _legacy(w1, w2=None):
@@ -315,12 +309,6 @@ class SdMethod(Value):
     its value from ``(minimum, maximum, n)`` alone, and its output label."""
 
     _fields = ("scenarios", "on_summary", "from_range", "label")
-
-    def __init__(self, scenarios: frozenset,
-                 on_summary: Callable[[FiveNumberSummary], float],
-                 from_range: Callable[[float, float, int], float], label: str):
-        self.__dict__.update(scenarios=scenarios, on_summary=on_summary,
-                             from_range=from_range, label=label)
 
 
 SD_METHODS = {

@@ -54,35 +54,18 @@ _Z95 = 1.96
 class FiveNumberPayload(Value):
     _fields = ("cases", "controls")
 
-    def __init__(self, cases: FiveNumberSummary, controls: FiveNumberSummary):
-        self.__dict__.update(cases=cases, controls=controls)
-
 
 class MeanSdPayload(Value):
     _fields = ("mean_cases", "sd_cases", "mean_controls", "sd_controls")
-
-    def __init__(self, mean_cases: float, sd_cases: float, mean_controls: float,
-                 sd_controls: float):
-        self.__dict__.update(mean_cases=mean_cases, sd_cases=sd_cases,
-                             mean_controls=mean_controls, sd_controls=sd_controls)
 
 
 class OddsRatioPayload(Value):
     _fields = ("odds_ratio", "ci_low", "ci_high")
 
-    def __init__(self, odds_ratio: float, ci_low: float, ci_high: float):
-        self.__dict__.update(odds_ratio=odds_ratio, ci_low=ci_low, ci_high=ci_high)
-
 
 class MeanRangePayload(Value):
     _fields = ("mean_cases", "min_cases", "max_cases", "mean_controls", "min_controls",
                "max_controls")
-
-    def __init__(self, mean_cases: float, min_cases: float, max_cases: float,
-                 mean_controls: float, min_controls: float, max_controls: float):
-        self.__dict__.update(mean_cases=mean_cases, min_cases=min_cases,
-                             max_cases=max_cases, mean_controls=mean_controls,
-                             min_controls=min_controls, max_controls=max_controls)
 
 
 Payload = Union[FiveNumberPayload, MeanSdPayload, OddsRatioPayload, MeanRangePayload]
@@ -135,20 +118,10 @@ class StudyEffect(Value):
 class Heterogeneity(Value):
     _fields = ("q", "df", "p_value", "i_squared")
 
-    def __init__(self, q: float, df: int, p_value: float, i_squared: float):
-        self.__dict__.update(q=q, df=df, p_value=p_value, i_squared=i_squared)
-
 
 class MetaResult(Value):
     _fields = ("effects", "pooled_d", "pooled_ci95", "q", "df", "p_value", "i_squared",
                "tau_squared")
-
-    def __init__(self, effects: tuple[StudyEffect, ...], pooled_d: float,
-                 pooled_ci95: tuple[float, float], q: float, df: int, p_value: float,
-                 i_squared: float, tau_squared: float):
-        self.__dict__.update(effects=effects, pooled_d=pooled_d, pooled_ci95=pooled_ci95,
-                             q=q, df=df, p_value=p_value, i_squared=i_squared,
-                             tau_squared=tau_squared)
 
     def to_dict(self) -> dict:
         """Every field, the effects and intervals as JSON-ready lists."""

@@ -65,6 +65,7 @@ __all__ = [
     "asymptotic_cov",
     "check_sample_size",
     "check_replicates",
+    "check_seed",
     "check_moment_domain",
     "MIN_MC_REPLICATES",
     "MAX_QUADRATURE_SIZE",
@@ -170,7 +171,7 @@ def normal_quantile(p: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# count rules: the one place a sample size or replicate count is refused
+# count rules: the one place a sample size, replicate count or seed is refused
 
 
 def _whole(value):
@@ -188,6 +189,13 @@ def check_sample_size(n) -> int:
         raise ValueError(f"sample size must be an integer >= 5 that is "
                          f"finite as a float, got {n!r}")
     return size
+
+
+def check_seed(seed) -> int:
+    """A seed, as an int: whole, as a float seed keys another stream than its int."""
+    if (whole := _whole(seed)) is None:
+        raise ValueError(f"seed must be a whole number, got {seed!r}")
+    return whole
 
 
 def check_replicates(replicates, least: int, purpose: str) -> int:
@@ -233,16 +241,17 @@ class OrderIndexSet(Value):
     _fields = ("n", "q")
 
     def __init__(self, n: int, q: int):
+        if not (q >= 1 and n == 4 * q + 1):
+            raise ScenarioError(f"index sets need n = 4q + 1, q >= 1, got n={n}, q={q}")
         self.__dict__.update(n=n, q=q)
 
     @classmethod
     def from_size(cls, n: int) -> "OrderIndexSet":
         size = _whole(n)
         if size is None or size < 5 or size % 4 != 1:
-            raise ScenarioError(
-                f"sample size must satisfy n = 4Q + 1 with Q >= 1, got n={n}"
-            )
-        return cls(n=size, q=(size - 1) // 4)
+            raise ScenarioError(f"sample size must satisfy n = 4Q + 1 with Q >= 1, "
+                                f"got n={n}")
+        return cls(size, (size - 1) // 4)
 
     @property
     def indices(self) -> tuple[int, int, int, int, int]:
@@ -381,9 +390,6 @@ class AsymptoticQuantileCov(Value):
     """Large-sample covariance of two sample quantiles of a normal sample."""
 
     _fields = ("p_i", "p_j", "n", "value")
-
-    def __init__(self, p_i: float, p_j: float, n: int, value: float):
-        self.__dict__.update(p_i=p_i, p_j=p_j, n=n, value=value)
 
 
 def asymptotic_cov(p_i: float, p_j: float, n: int) -> AsymptoticQuantileCov:
@@ -572,7 +578,7 @@ def moments_mc(n: int, replicates: int, seed: int) -> OrderStatMoments:
     five summary ranks are mapped through ``ndtri``. The per-replicate
     products are summed over fixed 512-replicate cells before the cells are
     added, so the result is bit-identical for a given ``(n, replicates,
-    seed)`` no matter how the replicates are chunked.
+    seed)`` no matter how the replicates are chunked. The seed is whole.
     """
     from ._rng import cell_sums, replicate_chunks, stream_key
 
@@ -582,7 +588,7 @@ def moments_mc(n: int, replicates: int, seed: int) -> OrderStatMoments:
     ranks = idx.indices
     cols = np.array(ranks) - 1
     left, right = np.array(_rank_pairs(range(5))).T  # the columns of each product
-    key = stream_key("order-stat-moments", seed, n)
+    key = stream_key("order-stat-moments", check_seed(seed), n)
     cells = []
     for _, u in replicate_chunks(key, replicates, n):
         # as ndtri is increasing this equals transforming, then sorting, every

@@ -35,7 +35,7 @@ from ._value import Value
 from .estimators import DISTRIBUTION_KINDS, FIELDS_BY_SCENARIO, METHODS, \
     FiveNumberSummary, combine, lookup_method
 from .order_stats import SUMMARY_FIELDS, OrderIndexSet, check_moment_domain, \
-    check_replicates, check_sample_size, special, summary_parts
+    check_replicates, check_sample_size, check_seed, special, summary_parts
 from .weights import Scenario
 
 __all__ = [
@@ -231,6 +231,8 @@ def default_methods(scenario) -> tuple[str, ...]:
 
 
 class SimulationConfig(Value):
+    """An RMSE run; its seed is whole, as a float seed keys other streams (`check_seed`)."""
+
     _fields = ("distribution", "scenario", "methods", "n_grid", "replicates", "seed")
 
     def __init__(self, distribution: DistributionSpec, scenario: Scenario,
@@ -251,25 +253,17 @@ class SimulationConfig(Value):
         if "optimal_exact" in methods:
             check_moment_domain(n_grid)
         self.__dict__.update(distribution=distribution, scenario=scenario, methods=methods,
-                             n_grid=n_grid, replicates=replicates, seed=seed)
+                             n_grid=n_grid, replicates=replicates, seed=check_seed(seed))
 
 
 class RmseRow(Value):
     _fields = ("distribution", "scenario", "n", "method", "rmse", "mc_std_error",
                "replicates")
 
-    def __init__(self, distribution: str, scenario: str, n: int, method: str, rmse: float,
-                 mc_std_error: float, replicates: int):
-        self.__dict__.update(distribution=distribution, scenario=scenario, n=n,
-                             method=method, rmse=rmse, mc_std_error=mc_std_error,
-                             replicates=replicates)
-
 
 class RmseReport(Value):
     _fields = ("config", "rows")
-
-    def __init__(self, config: SimulationConfig, rows: tuple[RmseRow, ...] = ()):
-        self.__dict__.update(config=config, rows=rows)
+    _defaults = {"rows": ()}
 
 
 # ---------------------------------------------------------------------------
@@ -283,8 +277,8 @@ def _spec_key(seed: int, spec: DistributionSpec, n: int) -> tuple[int, int]:
 
 def replicate_stream(seed: int, spec: DistributionSpec, n: int,
                      replicate: int) -> tuple[tuple[int, int], int]:
-    """``(key, replicate)``: the counter window of a replicate of a config."""
-    return _spec_key(seed, spec, n), replicate
+    """``(key, replicate)``: a replicate's counter window; seed and n are whole."""
+    return _spec_key(check_seed(seed), spec, check_sample_size(n)), replicate
 
 
 def draw_sample(spec: DistributionSpec, n: int, stream) -> np.ndarray:

@@ -316,12 +316,7 @@ class FitCoefficients(Value):
     """
 
     _fields = ("scenario", "model", "c1", "c2", "c3", "c4", "residual")
-
-    def __init__(self, scenario: Scenario, model: str, c1: float, c2: float,
-                 c3: Optional[float] = None, c4: Optional[float] = None,
-                 residual: float = 0.0):
-        self.__dict__.update(scenario=scenario, model=model, c1=c1, c2=c2, c3=c3, c4=c4,
-                             residual=residual)
+    _defaults = {"c3": None, "c4": None, "residual": 0.0}
 
 
 def _dot_plain(xs, ys) -> float:

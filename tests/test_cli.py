@@ -1527,11 +1527,18 @@ def _modules_report(commands: dict, cwd) -> dict:
 _WATCHED_SCRIPT = _MODULES_SCRIPT.replace(repr(_PER_COMMAND), "json.loads(sys.argv[2])")
 
 
-def _watched_report(commands: dict, watched: list, cwd) -> dict:
-    src = os.path.dirname(os.path.dirname(optmean.__file__))
-    proc = subprocess.run([sys.executable, "-c", _WATCHED_SCRIPT, json.dumps(commands),
-                           json.dumps(watched)], capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=src), cwd=cwd, timeout=120)
+def _watched_report(commands: dict, watched: list, cwd, site=True) -> dict:
+    path, flags = [os.path.dirname(os.path.dirname(optmean.__file__))], []
+    if not site:
+        # ``-S``, as a ``.pth`` file that ``site`` runs may import a watched
+        # module first; numpy's site directory goes on the path after the source
+        import numpy
+        path.append(os.path.dirname(os.path.dirname(numpy.__file__)))
+        flags.append("-S")
+    proc = subprocess.run([sys.executable, *flags, "-c", _WATCHED_SCRIPT,
+                           json.dumps(commands), json.dumps(watched)],
+                          capture_output=True, text=True, cwd=cwd, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)))
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
 
@@ -1729,6 +1736,29 @@ class TestStartup:
         assert report == {"import": [], **{
             label: [EXIT_USAGE if label == "refusal" else EXIT_OK, []]
             for label in commands}}
+
+    def test_importlib_resources_loads_only_with_a_shipped_table(self, tmp_path):
+        # `_table.packaged` imports it at its first call, so the commands that
+        # read neither table1.csv nor quad_moments.csv leave it unloaded
+        table = tmp_path / "weights.csv"
+        assert main(["weights", "--scenario", "s3", "--grid", "5:41:4",
+                     "--output", str(table)]) == EXIT_OK
+        loads_none = {
+            "help": ["--help"],
+            "refusal": ["weights", "--scenario", "s1", "--n", "505"],
+            "flag-refusal": ["estimate", *ONE_S1, "--method", "wan-sd", "--reps", "9"],
+            "approx": ["estimate", *ONE_S1, "--method", "optimal-approx"],
+            "wan-sd": ["estimate", *ONE_S1, "--method", "wan-sd"],
+            "fit-input": ["fit", "--scenario", "s3", "--input", str(table)],
+        }
+        watched = ["importlib.resources"]
+        assert _watched_report(loads_none, watched, tmp_path, site=False) == {
+            "import": [], **{label: [EXIT_USAGE if "refusal" in label else EXIT_OK, []]
+                             for label in loads_none}}
+        # a fresh process each: the shipped quadrature table, the bundled studies
+        for argv in (["weights", "--scenario", "s3", "--n", "377"], ["meta"]):
+            assert _watched_report({"run": argv}, watched, tmp_path, site=False) == {
+                "import": [], "run": [EXIT_OK, watched]}
 
     def test_package_version_is_the_imported_version(self):
         # json has no version.py, so its version comes from the imported package

@@ -139,6 +139,14 @@ class TestDomainTypes:
         with pytest.raises(ScenarioError):
             OrderIndexSet.from_size(n)
 
+    def test_index_set_fields_are_those_of_from_size(self):
+        assert OrderIndexSet(9, 2) == OrderIndexSet(n=9, q=2) == OrderIndexSet.from_size(9)
+
+    @pytest.mark.parametrize("n, q", [(9, 1), (9, 3), (5, 2), (1, 0), (-3, -1), (13, 2)])
+    def test_index_set_refuses_a_q_other_than_its_n(self, n, q):
+        with pytest.raises(ScenarioError, match=rf"n = 4q \+ 1, q >= 1, got n={n}, q={q}"):
+            OrderIndexSet(n, q)
+
 
 class TestMomentChecks:
     """`OrderStatMoments` refuses moments that are not keyed by the five
@@ -217,6 +225,38 @@ class TestCountRules:
             "draw_sample"])
     def test_integral_float_counts_as_its_int(self, make):
         assert repr(make(float)) == repr(make(int))
+
+
+class TestWholeSeeds:
+    """A seed, and the n of a replicate stream, is whole or refused: as the
+    stream key hashes its text, a float seed would key another stream than
+    its int."""
+
+    # each result as a repr, so a seed of 7081.0 where 7081 is due also shows
+    @pytest.mark.parametrize("make", [
+        lambda k: moments_mc(9, 10_000, k(7081)),
+        lambda k: run_rmse(SimulationConfig(NORMAL, "s1", n_grid=(9,), replicates=2_000,
+                                            seed=k(7081))),
+        lambda k: replicate_stream(k(1), NORMAL, k(9), 0),
+        lambda k: draw_sample(NORMAL, 9, replicate_stream(k(1), NORMAL, k(9), 0)).tolist(),
+    ], ids=["mc", "rmse", "stream", "draw_sample"])
+    def test_integral_float_seed_counts_as_its_int(self, make):
+        assert repr(make(float)) == repr(make(int))
+
+    @pytest.mark.parametrize("seed", [1.5, None, "x", math.nan, math.inf])
+    @pytest.mark.parametrize("call", [
+        lambda seed: moments_mc(9, 10_000, seed),
+        lambda seed: SimulationConfig(NORMAL, "s1", n_grid=(9,), seed=seed),
+        lambda seed: replicate_stream(seed, NORMAL, 9, 0),
+    ], ids=["mc", "config", "stream"])
+    def test_refuses_a_seed_that_is_not_whole(self, call, seed):
+        with pytest.raises(ValueError, match="seed must be a whole number"):
+            call(seed)
+
+    @pytest.mark.parametrize("n", [9.5, None, "9"])
+    def test_stream_refuses_a_size_that_is_not_whole(self, n):
+        with pytest.raises(ValueError, match="sample size must be an integer"):
+            replicate_stream(1, NORMAL, n, 0)
 
 
 class TestAsymptoticCov:

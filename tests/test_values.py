@@ -1,11 +1,15 @@
 """The value classes: construction, field-wise equality and hash, the
 ``Name(field=value, ...)`` repr, and no assignment after construction."""
 
+import importlib
 import platform
+import pkgutil
 
 import pytest
 
+import optmean
 from optmean import cli
+from optmean._value import Value
 from optmean.estimators import FiveNumberSummary
 from optmean.meta import StudyEffect
 from optmean.order_stats import OrderStatMoments, moments_quadrature
@@ -103,3 +107,73 @@ def test_moments_rebuilt_from_their_fields_have_solved_nothing():
 
 def test_header_python_version_is_platforms():
     assert cli._libraries()["python"] == platform.python_version()
+
+
+# the classes that check or normalise their fields in an ``__init__`` of their
+# own; every other value class is a record that inherits `Value.__init__`
+CHECKING = {"FiveNumberSummary", "Estimate", "WeightSet", "StudyRecord", "StudyEffect",
+            "OrderStatMoments", "OrderIndexSet", "DistributionSpec", "SimulationConfig"}
+RECORDS = {"Method", "SdMethod", "FiveNumberPayload", "MeanSdPayload", "OddsRatioPayload",
+           "MeanRangePayload", "Heterogeneity", "MetaResult", "AsymptoticQuantileCov",
+           "RmseRow", "RmseReport", "FitCoefficients"}
+
+
+def _value_classes() -> list:
+    """Every `Value` subclass of the package, each module imported first."""
+    for module in pkgutil.iter_modules(optmean.__path__):
+        importlib.import_module(f"optmean.{module.name}")
+    return sorted((cls for cls in Value.__subclasses__()
+                   if cls.__module__.startswith("optmean.")),
+                  key=lambda cls: cls.__name__)
+
+
+VALUE_CLASSES = _value_classes()
+PLAIN = [cls for cls in VALUE_CLASSES if "__init__" not in vars(cls)]
+
+
+def _stand_ins(cls) -> tuple:
+    # a distinct value per field: these classes check none of them
+    return tuple(f"{cls.__name__}.{name}" for name in cls._fields)
+
+
+def test_only_classes_that_check_their_fields_write_an_init():
+    assert {cls.__name__ for cls in VALUE_CLASSES if "__init__" in vars(cls)} == CHECKING
+    assert {cls.__name__ for cls in PLAIN} == RECORDS
+
+
+@pytest.mark.parametrize("cls", PLAIN, ids=lambda cls: cls.__name__)
+def test_record_binds_by_position_and_keyword(cls):
+    values = _stand_ins(cls)
+    by_position = cls(*values)
+    assert by_position._values() == values
+    assert cls(**dict(zip(cls._fields, values))) == by_position
+    assert cls(values[0], **dict(zip(cls._fields[1:], values[1:]))) == by_position
+    assert list(vars(by_position)) == list(cls._fields)
+
+
+@pytest.mark.parametrize("cls", PLAIN, ids=lambda cls: cls.__name__)
+def test_record_fills_omitted_fields_from_its_defaults(cls):
+    required = cls._fields[:len(cls._fields) - len(cls._defaults)]
+    assert set(cls._fields) - set(required) == set(cls._defaults)  # defaults trail
+    given = dict(zip(required, _stand_ins(cls)))
+    value = cls(**given)
+    assert value._asdict() == {**given, **cls._defaults}
+    assert cls(*given.values()) == value
+    assert list(vars(value)) == list(cls._fields)
+
+
+@pytest.mark.parametrize("cls", PLAIN, ids=lambda cls: cls.__name__)
+def test_record_refuses_a_missing_unknown_repeated_or_extra_field(cls):
+    values = _stand_ins(cls)
+    fields = dict(zip(cls._fields, values))
+    missing = {name: v for name, v in fields.items() if name != cls._fields[0]}
+    with pytest.raises(TypeError, match=rf"missing the fields \['{cls._fields[0]}'\]"):
+        cls(**missing)
+    with pytest.raises(TypeError, match="unknown field 'colour'"):
+        cls(*values, colour=1)
+    with pytest.raises(TypeError, match="unknown field 'colour'"):
+        cls(**fields, colour=1)
+    with pytest.raises(TypeError, match=f"repeated or unknown field '{cls._fields[0]}'"):
+        cls(*values[:1], **fields)
+    with pytest.raises(TypeError, match=f"takes {len(values)} fields, got {len(values)+1}"):
+        cls(*values, "extra")
